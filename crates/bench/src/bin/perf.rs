@@ -4,8 +4,9 @@
 //! Usage:
 //!
 //! ```text
-//! perf [--cells smoke|full|all] [--shard-threads N] [--out FILE] [--label TEXT] [--before FILE]
+//! perf [--cells smoke|full|all] [--suite] [--out FILE] [--label TEXT] [--before FILE]
 //!      [--spans OUT.jsonl]
+//! perf --tracker [--out FILE] [--label TEXT] [--before FILE]
 //! perf --check FILE [--max-regress PCT]
 //! perf --diff OLD.json NEW.json
 //! perf --print-goldens
@@ -29,30 +30,19 @@
 //!   duration in microseconds) to the given file on exit. Tracing is off by
 //!   default and costs one relaxed atomic load per span site when disabled,
 //!   so a plain `perf` run measures the same hot path as ever.
-//! * `--shard-threads N` runs the requested baskets through the
-//!   shard-parallel windowed engine (N stepping threads per simulation,
-//!   capped at the host's parallelism and each cell's channel count)
-//!   instead of the classic serial loop; statistics checksums are identical
-//!   by design, only the wall-clock changes. Recording a serial and a
-//!   sharded snapshot on the same machine and comparing them with `--diff`
-//!   is the shard-parallel speedup measurement.
-//! * `--speculate DEPTH` runs the baskets through the optimistic shard
-//!   engine: the windowed loop with speculative windows (each shard
-//!   free-runs `DEPTH` windows past its proven bound, committing at the
-//!   barrier or rolling back and replaying on a cross-shard miss) and
-//!   cross-ACT tracker batching. Combine with `--shard-threads` to pick the
-//!   stepping-thread count (default 4). Checksums stay identical by design;
-//!   the run ends with the speculation commit/rollback counters exactly as
-//!   the `/metrics` scrape of a live service would report them, and the
-//!   totals are embedded in the snapshot. Recording a barrier
-//!   (`--shard-threads` only) and a speculative snapshot on the same machine
-//!   and comparing them with `--diff` is the optimistic-engine speedup
-//!   measurement.
+//! * `--suite` also times every simulation-driven target of the experiment
+//!   suite (smoke scope, serial executor) and records the wall-clock.
+//! * `--tracker` runs the per-mechanism tracker microbench suite (ACT
+//!   streams fed straight to the trackers, no DRAM model) instead of the
+//!   baskets; `--diff` against an earlier tracker snapshot flags any cell
+//!   whose state checksum drifted.
+//!
+//! Every basket cell runs through the serial event-driven loop, one cell at
+//! a time, so the numbers are not confounded by parallel cell execution.
 
 use comet_bench::hotpath::CellResult;
 use comet_bench::hotpath::{
-    run_basket_with, run_cells, run_suite_smoke_serial, stress_basket, BasketResult, CellExec, HotpathScope,
-    SuiteResult,
+    run_basket, run_cells, run_suite_smoke_serial, stress_basket, BasketResult, HotpathScope, SuiteResult,
 };
 use comet_bench::tracker::{tracker_suite, TRACKER_NOW_STEP};
 use comet_bench::{
@@ -91,19 +81,10 @@ struct Snapshot {
     speedup_full: Option<f64>,
     speedup_smoke: Option<f64>,
     speedup_suite: Option<f64>,
-    /// Total speculative-region commits across the run (speculative
-    /// executor only), summed over mechanisms from the telemetry registry —
-    /// the same counters a `/metrics` scrape exposes.
-    speculation_commits: Option<u64>,
-    /// Total speculative-region rollbacks across the run (speculative
-    /// executor only).
-    speculation_rollbacks: Option<u64>,
 }
 
 struct Args {
     scopes: Vec<HotpathScope>,
-    shard_threads: Option<usize>,
-    speculate: Option<u64>,
     suite: bool,
     tracker: bool,
     out: Option<PathBuf>,
@@ -119,8 +100,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         scopes: vec![HotpathScope::Full],
-        shard_threads: None,
-        speculate: None,
         suite: false,
         tracker: false,
         out: None,
@@ -161,26 +140,6 @@ fn parse_args() -> Args {
                 let new = PathBuf::from(value_for(&mut it, "--diff"));
                 args.diff = Some((old, new));
             }
-            "--shard-threads" => {
-                let value = value_for(&mut it, "--shard-threads");
-                args.shard_threads = match value.parse::<usize>() {
-                    Ok(threads) if threads >= 1 => Some(threads),
-                    _ => {
-                        eprintln!("error: invalid --shard-threads '{value}'");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--speculate" => {
-                let value = value_for(&mut it, "--speculate");
-                args.speculate = match value.parse::<u64>() {
-                    Ok(depth) if depth >= 1 => Some(depth),
-                    _ => {
-                        eprintln!("error: invalid --speculate '{value}' (window-bound multiplier >= 1)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--max-regress" => {
                 let value = value_for(&mut it, "--max-regress");
                 args.max_regress_pct = value.parse().unwrap_or_else(|_| {
@@ -194,7 +153,7 @@ fn parse_args() -> Args {
             "--spans" => args.spans = Some(PathBuf::from(value_for(&mut it, "--spans"))),
             "help" | "--help" | "-h" => {
                 println!(
-                    "usage: perf [--cells smoke|full|all] [--shard-threads N] [--speculate DEPTH] [--suite] [--out FILE] [--label TEXT] [--before FILE] [--spans OUT.jsonl]"
+                    "usage: perf [--cells smoke|full|all] [--suite] [--out FILE] [--label TEXT] [--before FILE] [--spans OUT.jsonl]"
                 );
                 println!("       perf --tracker [--out FILE] [--label TEXT] [--before FILE]");
                 println!("       perf --check FILE [--max-regress PCT]");
@@ -242,7 +201,7 @@ fn run_check(path: &PathBuf, max_regress_pct: f64, out: Option<&PathBuf>) -> Exi
         eprintln!("error: {} has no ci_reference_smoke_accesses_per_sec", path.display());
         return ExitCode::from(2);
     };
-    let current = match run_basket_with(HotpathScope::Smoke, CellExec::Serial) {
+    let current = match run_basket(HotpathScope::Smoke) {
         Ok(result) => {
             print_basket(&result);
             if let Some(out) = out {
@@ -262,8 +221,6 @@ fn run_check(path: &PathBuf, max_regress_pct: f64, out: Option<&PathBuf>) -> Exi
                     speedup_full: None,
                     speedup_smoke: None,
                     speedup_suite: None,
-                    speculation_commits: None,
-                    speculation_rollbacks: None,
                 };
                 match serde_json::to_string_pretty(&snapshot) {
                     Ok(json) => {
@@ -295,7 +252,7 @@ fn run_check(path: &PathBuf, max_regress_pct: f64, out: Option<&PathBuf>) -> Exi
 }
 
 fn print_goldens() -> ExitCode {
-    match run_basket_with(HotpathScope::Smoke, CellExec::Serial) {
+    match run_basket(HotpathScope::Smoke) {
         Ok(result) => {
             println!("// Generated by `cargo run -p comet-bench --release --bin perf -- --print-goldens`.");
             println!("const GOLDEN_SMOKE_CHECKSUMS: &[(&str, u64)] = &[");
@@ -459,17 +416,6 @@ fn geomean(speedups: &[f64]) -> Option<(f64, usize)> {
     Some((g, positive.len()))
 }
 
-/// Sums the sample values of one counter family across its label sets in a
-/// rendered metrics body (`name{mech="..."} 42` lines).
-fn metric_family_total(body: &str, name: &str) -> u64 {
-    body.lines()
-        .filter(|line| {
-            line.strip_prefix(name).is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
-        })
-        .filter_map(|line| line.rsplit(' ').next()?.parse::<f64>().ok())
-        .sum::<f64>() as u64
-}
-
 /// Compares two snapshots cell by cell and prints a Markdown speedup report
 /// (suitable for a terminal and for a CI job summary alike).
 fn run_diff(old_path: &PathBuf, new_path: &PathBuf) -> ExitCode {
@@ -574,19 +520,6 @@ fn run_diff(old_path: &PathBuf, new_path: &PathBuf) -> ExitCode {
             );
         }
     }
-    // Optimistic-engine snapshots carry their commit/rollback totals (the
-    // `/metrics` counter sums); surface them next to the speedup table.
-    if let (Some(commits), Some(rollbacks)) = (
-        extract_json_number(&new_text, "speculation_commits"),
-        extract_json_number(&new_text, "speculation_rollbacks"),
-    ) {
-        let total = commits + rollbacks;
-        println!();
-        println!(
-            "- speculation (after): **{commits:.0} commits, {rollbacks:.0} rollbacks**{}",
-            if total > 0.0 { format!(" ({:.1}% committed)", 100.0 * commits / total) } else { String::new() }
-        );
-    }
     match (extract_json_number(&old_text, "suite_wall_s"), extract_json_number(&new_text, "suite_wall_s")) {
         (Some(old_wall), Some(new_wall)) if new_wall > 0.0 => {
             println!();
@@ -652,26 +585,9 @@ fn run(args: &Args) -> ExitCode {
         speedup_full: None,
         speedup_smoke: None,
         speedup_suite: None,
-        speculation_commits: None,
-        speculation_rollbacks: None,
     };
-    let exec = match (args.shard_threads, args.speculate) {
-        (threads, Some(depth)) => CellExec::Speculative { threads: threads.unwrap_or(4), depth },
-        (Some(threads), None) => CellExec::Sharded { threads },
-        (None, None) => CellExec::Serial,
-    };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    match exec {
-        CellExec::Speculative { threads, depth } => println!(
-            "optimistic shard engine: {threads} stepping thread(s), speculation depth {depth}, {cores} available core(s)"
-        ),
-        CellExec::Sharded { threads } => println!(
-            "shard-parallel windowed engine: {threads} requested stepping thread(s), {cores} available core(s)"
-        ),
-        CellExec::Serial => {}
-    }
     for &scope in &args.scopes {
-        match run_basket_with(scope, exec) {
+        match run_basket(scope) {
             Ok(result) => {
                 print_basket(&result);
                 match scope {
@@ -691,33 +607,6 @@ fn run(args: &Args) -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if args.speculate.is_some() {
-        // Every completed run folds its speculation tallies into the global
-        // telemetry registry — the body below is exactly what a `/metrics`
-        // scrape of a live service exposes for these families.
-        let body = comet_telemetry::global().render();
-        println!("\n### speculation counters (/metrics)");
-        println!();
-        println!("```");
-        for line in body.lines().filter(|l| l.starts_with("comet_engine_speculation")) {
-            println!("{line}");
-        }
-        println!("```");
-        let commits = metric_family_total(&body, "comet_engine_speculation_commits_total");
-        let rollbacks = metric_family_total(&body, "comet_engine_speculation_rollbacks_total");
-        let total = commits + rollbacks;
-        if total > 0 {
-            println!(
-                "\nspeculation: {commits} commits, {rollbacks} rollbacks ({:.1}% committed)",
-                100.0 * commits as f64 / total as f64
-            );
-        } else {
-            println!("\nspeculation: no regions launched (windows never shorter than the bound x depth)");
-        }
-        snapshot.speculation_commits = Some(commits);
-        snapshot.speculation_rollbacks = Some(rollbacks);
     }
 
     if args.suite {

@@ -157,68 +157,6 @@ impl HotpathCell {
         self.run_on(Runner::with_seed(self.sim_config(scope), HOTPATH_SEED).with_loop_mode(mode), scope)
     }
 
-    /// Runs the cell through the shard-parallel windowed engine with
-    /// `threads` stepping threads (capped at the host's parallelism and the
-    /// cell's channel count). Bit-identical to [`run`](Self::run) — the
-    /// bit-exactness suite asserts it against the same goldens.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunnerError`] when the workload or mechanism cannot be
-    /// resolved (the fixed basket never triggers this for the built-ins).
-    pub fn run_sharded(&self, scope: HotpathScope, threads: usize) -> Result<RunResult, RunnerError> {
-        self.run_on(
-            Runner::with_seed(self.sim_config(scope), HOTPATH_SEED).with_shard_threads(threads),
-            scope,
-        )
-    }
-
-    /// Runs the cell through the optimistic shard engine: the windowed loop
-    /// with speculative windows (each shard free-runs `depth` windows past
-    /// its proven bound, validated and committed — or rolled back and
-    /// replayed — at the barrier) and cross-ACT tracker batching.
-    /// Bit-identical to [`run`](Self::run) by construction; the bit-exactness
-    /// suite pins it to the same goldens.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunnerError`] when the workload or mechanism cannot be
-    /// resolved (the fixed basket never triggers this for the built-ins).
-    pub fn run_speculative(
-        &self,
-        scope: HotpathScope,
-        threads: usize,
-        depth: u64,
-    ) -> Result<RunResult, RunnerError> {
-        self.run_on(
-            Runner::with_seed(self.sim_config(scope), HOTPATH_SEED)
-                .with_shard_threads(threads)
-                .with_speculation(depth),
-            scope,
-        )
-    }
-
-    /// Runs the cell through the windowed engine with jittered window
-    /// splits (the barrier-soundness test hook).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunnerError`] when the workload or mechanism cannot be
-    /// resolved (the fixed basket never triggers this for the built-ins).
-    pub fn run_jittered(
-        &self,
-        scope: HotpathScope,
-        threads: usize,
-        seed: u64,
-    ) -> Result<RunResult, RunnerError> {
-        self.run_on(
-            Runner::with_seed(self.sim_config(scope), HOTPATH_SEED)
-                .with_shard_threads(threads)
-                .with_window_jitter(seed),
-            scope,
-        )
-    }
-
     fn run_on(&self, runner: Runner, scope: HotpathScope) -> Result<RunResult, RunnerError> {
         let nrh = self.nrh(scope);
         match self.workload {
@@ -371,28 +309,6 @@ pub struct BasketResult {
     pub cells: Vec<CellResult>,
 }
 
-/// How the perf harness executes each basket cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellExec {
-    /// The classic serial event-driven loop.
-    Serial,
-    /// The shard-parallel windowed engine with this many stepping threads
-    /// (capped at the host's parallelism and each cell's channel count).
-    Sharded {
-        /// Requested stepping threads, the simulating thread included.
-        threads: usize,
-    },
-    /// The optimistic shard engine: the windowed loop with speculative
-    /// windows (checkpoint/rollback past the proven bound) and cross-ACT
-    /// tracker batching.
-    Speculative {
-        /// Requested stepping threads, the simulating thread included.
-        threads: usize,
-        /// Window-bound multiplier each speculative region free-runs to.
-        depth: u64,
-    },
-}
-
 /// Runs every cell of the `scope` basket serially (perf numbers must not be
 /// confounded by parallel cell execution) and aggregates the results.
 ///
@@ -400,22 +316,10 @@ pub enum CellExec {
 ///
 /// Propagates the first [`RunnerError`] a cell reports.
 pub fn run_basket(scope: HotpathScope) -> Result<BasketResult, RunnerError> {
-    run_basket_with(scope, CellExec::Serial)
-}
-
-/// [`run_basket`] under an explicit per-cell execution mode. Cells still run
-/// one at a time — with [`CellExec::Sharded`], the parallelism is *inside*
-/// each simulation (the shard pool), which is exactly what the serial-vs-
-/// shard-parallel `perf --diff` comparison measures.
-///
-/// # Errors
-///
-/// Propagates the first [`RunnerError`] a cell reports.
-pub fn run_basket_with(scope: HotpathScope, exec: CellExec) -> Result<BasketResult, RunnerError> {
     let _span = comet_telemetry::span("perf.basket");
     let cells = basket(scope);
     let started = Instant::now();
-    let results = run_cells_with(&cells, scope, exec)?;
+    let results = run_cells(&cells, scope)?;
     let wall_s = started.elapsed().as_secs_f64();
     let accesses: u64 = results.iter().map(|r| r.accesses).sum();
     Ok(BasketResult {
@@ -434,27 +338,10 @@ pub fn run_basket_with(scope: HotpathScope, exec: CellExec) -> Result<BasketResu
 ///
 /// Propagates the first [`RunnerError`] a cell reports.
 pub fn run_cells(cells: &[HotpathCell], scope: HotpathScope) -> Result<Vec<CellResult>, RunnerError> {
-    run_cells_with(cells, scope, CellExec::Serial)
-}
-
-/// [`run_cells`] under an explicit per-cell execution mode.
-///
-/// # Errors
-///
-/// Propagates the first [`RunnerError`] a cell reports.
-pub fn run_cells_with(
-    cells: &[HotpathCell],
-    scope: HotpathScope,
-    exec: CellExec,
-) -> Result<Vec<CellResult>, RunnerError> {
     let mut results = Vec::with_capacity(cells.len());
     for cell in cells {
         let cell_start = Instant::now();
-        let run = match exec {
-            CellExec::Serial => cell.run(scope)?,
-            CellExec::Sharded { threads } => cell.run_sharded(scope, threads)?,
-            CellExec::Speculative { threads, depth } => cell.run_speculative(scope, threads, depth)?,
-        };
+        let run = cell.run(scope)?;
         let wall_s = cell_start.elapsed().as_secs_f64();
         let accesses = run.controller.reads_completed + run.controller.writes_completed;
         results.push(CellResult {

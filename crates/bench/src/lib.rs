@@ -1,22 +1,24 @@
 //! # comet-bench
 //!
-//! Benchmarks and the `experiments` binary for the CoMeT reproduction.
+//! The `experiments`, `perf` and `service` binaries for the CoMeT
+//! reproduction.
 //!
 //! * `cargo run -p comet-bench --release --bin experiments -- all` regenerates
 //!   every table and figure of the paper's evaluation (see DESIGN.md for the
 //!   experiment index and `experiments -- help` for the individual targets).
-//! * `cargo bench -p comet-bench` runs the Criterion micro-benchmarks of the
-//!   tracker data structures, the DRAM substrate, the memory controller, and
-//!   small figure-shaped end-to-end runs.
+//! * `cargo run -p comet-bench --release --bin perf` times the hot-path
+//!   basket ([`hotpath`]) and, with `--tracker`, the per-mechanism tracker
+//!   microbench suite ([`tracker`]).
 //!
-//! This library crate only hosts shared helpers for the binary and benches.
+//! This library crate only hosts shared helpers for the binaries and the
+//! bit-exactness suites.
 
 use comet_sim::experiments::ExperimentScope;
 
 pub mod hotpath;
 pub mod tracker;
 
-/// Parses the `--scope` argument used by the experiments binary and benches.
+/// Parses the `--scope` argument used by the experiments binary.
 pub fn parse_scope(value: &str) -> Option<ExperimentScope> {
     match value {
         "smoke" => Some(ExperimentScope::Smoke),

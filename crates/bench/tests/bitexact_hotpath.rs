@@ -27,16 +27,6 @@
 //! over every bank lane and the arbitration order (arrival seq within and
 //! across banks) is the entire story. Randomized enqueue-interleaving
 //! coverage lives in `fcfs_interleavings.rs` alongside this suite.
-//!
-//! A third execution engine — the shard-parallel windowed loop, which
-//! free-runs channel shards between core-visible barriers on a worker pool —
-//! is pinned to the same golden tables below; its randomized
-//! window-splitting layer lives in `shard_windows.rs`.
-//!
-//! A fourth — the optimistic shard engine, which speculates each shard past
-//! its proven window bound under checkpoint/rollback and batches cross-ACT
-//! tracker work — is pinned to the same tables at 1, 2, and 4 stepping
-//! threads, so all four engines agree by transitivity.
 
 use comet_bench::hotpath::{basket, stats_checksum, stress_basket, HotpathScope};
 use comet_sim::LoopMode;
@@ -186,79 +176,6 @@ fn stress_cells_saturate_the_queues() {
         run.avg_read_latency_ns > 150.0,
         "queues no longer saturate: avg read latency {} ns is near the unloaded latency",
         run.avg_read_latency_ns
-    );
-}
-
-#[test]
-fn shard_parallel_engine_matches_the_goldens() {
-    // The shard-parallel windowed engine (free-running channel shards
-    // between core-visible barriers, fanned out over a worker pool where
-    // the host has cores for it) must reproduce the committed golden
-    // checksums bit-exactly — same table the serial loop is pinned to, so
-    // serial == shard-parallel by transitivity. On a multi-core host this
-    // exercises the real worker-pool fan-out; on a single-core host the
-    // pool clamps and the windowed loop itself is what is being proven.
-    let mut failures = Vec::new();
-    for (cell, &(label, expected)) in basket(HotpathScope::Smoke).iter().zip(GOLDEN_SMOKE_CHECKSUMS) {
-        assert_eq!(cell.label(), label, "basket order changed: regenerate the golden table");
-        let run = cell.run_sharded(HotpathScope::Smoke, 4).expect("basket cell must run");
-        let actual = stats_checksum(&run);
-        if actual != expected {
-            failures
-                .push(format!("{label}: shard-parallel checksum {actual:016x} != golden {expected:016x}"));
-        }
-    }
-    for (cell, &(label, expected)) in stress_basket().iter().zip(GOLDEN_STRESS_CHECKSUMS) {
-        let run = cell.run_sharded(HotpathScope::Smoke, 4).expect("stress cell must run");
-        let actual = stats_checksum(&run);
-        if actual != expected {
-            failures
-                .push(format!("{label}: shard-parallel checksum {actual:016x} != golden {expected:016x}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "the shard-parallel engine diverged from the golden checksums:\n{}",
-        failures.join("\n")
-    );
-}
-
-#[test]
-fn speculative_engine_matches_the_goldens_at_1_2_4_threads() {
-    // The optimistic engine must reproduce the committed golden checksums
-    // bit-exactly at every thread count, speculation enabled: a committed
-    // region proves the speculated windows held no cross-shard core-visible
-    // event, a rolled-back region replays conservatively — both end bit-equal
-    // to the serial loop, or this table diverges.
-    let mut failures = Vec::new();
-    for threads in [1usize, 2, 4] {
-        for (cell, &(label, expected)) in basket(HotpathScope::Smoke).iter().zip(GOLDEN_SMOKE_CHECKSUMS) {
-            let run = cell.run_speculative(HotpathScope::Smoke, threads, 8).expect("basket cell must run");
-            let actual = stats_checksum(&run);
-            if actual != expected {
-                failures.push(format!(
-                    "{label} @ {threads} threads: speculative checksum {actual:016x} != golden {expected:016x}"
-                ));
-            }
-        }
-    }
-    // The FCFS stress cells (saturated queues, the densest enqueue traffic —
-    // the rollback-heaviest regime) at two speculation depths.
-    for (cell, &(label, expected)) in stress_basket().iter().zip(GOLDEN_STRESS_CHECKSUMS) {
-        for depth in [2u64, 32] {
-            let run = cell.run_speculative(HotpathScope::Smoke, 4, depth).expect("stress cell must run");
-            let actual = stats_checksum(&run);
-            if actual != expected {
-                failures.push(format!(
-                    "{label} @ depth {depth}: speculative checksum {actual:016x} != golden {expected:016x}"
-                ));
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "the optimistic engine diverged from the golden checksums:\n{}",
-        failures.join("\n")
     );
 }
 

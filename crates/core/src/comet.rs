@@ -59,12 +59,6 @@ pub struct Comet {
     geometry: DramGeometry,
     banks: Vec<BankTracker>,
     next_reset: Cycle,
-    /// Upper bound on the largest live count estimate across all banks (RAT
-    /// private counters and CT counter groups), folded on the activation
-    /// path. Stale-high after a rank refresh clears some banks; reset with
-    /// the periodic reset. Only answers
-    /// [`RowHammerMitigation::quiescent_activations`]; never affects tracking.
-    track_max: u64,
     stats: MitigationStats,
     detail: CometDetailStats,
 }
@@ -84,7 +78,6 @@ impl Comet {
             config,
             geometry,
             banks,
-            track_max: 0,
             stats: MitigationStats::default(),
             detail: CometDetailStats::default(),
         }
@@ -120,7 +113,6 @@ impl Comet {
             for bank in &mut self.banks {
                 bank.reset();
             }
-            self.track_max = 0;
             self.stats.periodic_resets += 1;
             while self.next_reset <= now {
                 self.next_reset += self.config.reset_period;
@@ -134,15 +126,6 @@ impl RowHammerMitigation for Comet {
 
     fn name(&self) -> &str {
         "CoMeT"
-    }
-
-    fn quiescent_activations(&self) -> u64 {
-        // A batch of total weight W raises any RAT private counter or CT
-        // estimate (conservative-update sketch: raised slots reach at most
-        // estimate-before + weight) by at most W above the folded maximum,
-        // so no row can reach NPR while W fits in the remaining headroom.
-        let npr = self.config.npr();
-        npr.saturating_sub(1).saturating_sub(self.track_max)
     }
 
     fn on_activation(&mut self, addr: &DramAddr, now: Cycle, weight: u64) -> MitigationResponse {
@@ -167,7 +150,6 @@ impl RowHammerMitigation for Comet {
         let (ct_saturated_before, is_aggressor) = match rat_value {
             Some(updated) => {
                 self.detail.rat_hits += 1;
-                self.track_max = self.track_max.max(updated);
                 // An aggressor's private counter is restarted below, so the
                 // speculative increment never outlives this call.
                 (false, updated >= npr)
@@ -175,7 +157,6 @@ impl RowHammerMitigation for Comet {
             None => {
                 self.detail.ct_estimates += 1;
                 let (estimate_before, is_aggressor) = tracker.ct.record_or_saturate(row, weight);
-                self.track_max = self.track_max.max(estimate_before.saturating_add(weight));
                 (estimate_before >= npr, is_aggressor)
             }
         };

@@ -223,24 +223,6 @@ impl RowHammerMitigation for BlockHammer {
         "BlockHammer"
     }
 
-    fn quiescent_activations(&self) -> u64 {
-        // Any row's estimate is bounded by the largest counter in its bank's
-        // filter pair, and a batch of total weight W grows every counter by
-        // at most W (inserts add the weight to all hashed counters, so the
-        // per-row min can climb by the full batch weight under aliasing).
-        // While max counter + W stays below the blacklist threshold every
-        // activation returns before the throttling path — a guaranteed nop.
-        let mut max_counter = 0u32;
-        for pair in &self.filters {
-            for filter in pair {
-                for &c in &filter.counters {
-                    max_counter = max_counter.max(c);
-                }
-            }
-        }
-        self.config.blacklist_threshold.saturating_sub(1).saturating_sub(max_counter as u64)
-    }
-
     fn on_activation(&mut self, addr: &DramAddr, now: Cycle, weight: u64) -> MitigationResponse {
         self.maybe_rotate(now);
         self.stats.activations_observed += weight;

@@ -215,28 +215,6 @@ impl RowHammerMitigation for Graphene {
         "Graphene"
     }
 
-    fn quiescent_activations(&self) -> u64 {
-        // A batch of total weight W grows any one count (tracked entry,
-        // spillover, or spillover-based insert) by at most W, so no refresh
-        // level can be crossed as long as W stays below every gap:
-        // * a tracked row triggers at `(refreshed + 1) × threshold`;
-        // * an untracked row triggers as soon as the spillover-seeded count
-        //   reaches `threshold` (its spilled level may be 0).
-        let threshold = self.config.prevention_threshold;
-        let mut credit = u64::MAX;
-        for table in &self.tables {
-            credit = credit.min(threshold.saturating_sub(1).saturating_sub(table.spillover));
-            for e in table.entries.values() {
-                let bound = (e.refreshed + 1).saturating_mul(threshold);
-                credit = credit.min(bound.saturating_sub(1).saturating_sub(e.count));
-            }
-            if credit == 0 {
-                return 0;
-            }
-        }
-        credit
-    }
-
     fn on_activation(&mut self, addr: &DramAddr, now: Cycle, weight: u64) -> MitigationResponse {
         self.maybe_reset(now);
         self.stats.activations_observed += weight;

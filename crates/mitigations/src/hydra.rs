@@ -129,10 +129,6 @@ pub struct Hydra {
     /// keyed by packed `(bank, row)`.
     rct: IntMap<u64, u64>,
     rcc: RowCountCache,
-    /// Upper bound on the largest group counter, folded on the cheap path.
-    /// Only answers [`RowHammerMitigation::quiescent_activations`]; once any
-    /// group saturates it pins the credit to 0 until the periodic reset.
-    gct_max: u64,
     next_reset: Cycle,
     stats: MitigationStats,
 }
@@ -150,7 +146,6 @@ impl Hydra {
             groups,
             rct: IntMap::default(),
             rcc: RowCountCache::default(),
-            gct_max: 0,
             stats: MitigationStats::default(),
         }
     }
@@ -163,7 +158,6 @@ impl Hydra {
     fn maybe_reset(&mut self, now: Cycle) {
         if now >= self.next_reset {
             self.gct.iter_mut().for_each(|c| *c = 0);
-            self.gct_max = 0;
             self.rct.clear();
             self.rcc.clear();
             self.stats.periodic_resets += 1;
@@ -181,13 +175,6 @@ impl RowHammerMitigation for Hydra {
         "Hydra"
     }
 
-    fn quiescent_activations(&self) -> u64 {
-        // While every group counter stays below the group threshold each
-        // activation takes the SRAM cheap path and is a nop; past saturation
-        // any touch of the hot group may cost counter traffic, so no credit.
-        self.config.group_threshold.saturating_sub(self.gct_max)
-    }
-
     fn on_activation(&mut self, addr: &DramAddr, now: Cycle, weight: u64) -> MitigationResponse {
         self.maybe_reset(now);
         self.stats.activations_observed += weight;
@@ -200,7 +187,6 @@ impl RowHammerMitigation for Hydra {
         if *group_counter < self.config.group_threshold {
             // Cheap path: only the SRAM group counter is touched.
             *group_counter += weight;
-            self.gct_max = self.gct_max.max(*group_counter);
             return response;
         }
 

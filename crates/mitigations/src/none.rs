@@ -27,11 +27,6 @@ impl RowHammerMitigation for NoMitigation {
         "Baseline"
     }
 
-    fn quiescent_activations(&self) -> u64 {
-        // Never reacts: any number of activations may be deferred and batched.
-        u64::MAX
-    }
-
     fn on_activation(&mut self, _addr: &DramAddr, _now: Cycle, weight: u64) -> MitigationResponse {
         self.stats.activations_observed += weight;
         MitigationResponse::none()

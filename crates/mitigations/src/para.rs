@@ -48,8 +48,6 @@ impl Para {
 }
 
 impl RowHammerMitigation for Para {
-    // PARA keeps the default quiescent credit of 0: every activation is an
-    // independent Bernoulli trial, so no batch is provably reaction-free.
     crate::impl_mitigation_checkpoint!(Para);
 
     fn name(&self) -> &str {

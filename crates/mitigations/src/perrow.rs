@@ -19,10 +19,6 @@ pub struct PerRowCounters {
     next_reset: Cycle,
     geometry: DramGeometry,
     counters: HashMap<(usize, usize), u64>,
-    /// Upper bound on the largest live counter value (stale-high after a
-    /// trigger zeroes a counter, reset with the window). Only used to answer
-    /// [`RowHammerMitigation::quiescent_activations`]; never affects decisions.
-    max_count: u64,
     stats: MitigationStats,
 }
 
@@ -37,7 +33,6 @@ impl PerRowCounters {
             next_reset: timing.t_refw,
             geometry,
             counters: HashMap::new(),
-            max_count: 0,
             stats: MitigationStats::default(),
         }
     }
@@ -56,7 +51,6 @@ impl PerRowCounters {
     fn maybe_reset(&mut self, now: Cycle) {
         if now >= self.next_reset {
             self.counters.clear();
-            self.max_count = 0;
             self.stats.periodic_resets += 1;
             while self.next_reset <= now {
                 self.next_reset += self.reset_period;
@@ -85,16 +79,8 @@ impl RowHammerMitigation for PerRowCounters {
             self.stats.preventive_refreshes += victims.len() as u64;
             MitigationResponse::refresh(victims)
         } else {
-            self.max_count = self.max_count.max(*counter);
             MitigationResponse::none()
         }
-    }
-
-    fn quiescent_activations(&self) -> u64 {
-        // Even if every deferred activation lands on the hottest row, its
-        // counter stays below the prevention threshold as long as the batch
-        // weight fits in the remaining headroom.
-        self.prevention_threshold.saturating_sub(1).saturating_sub(self.max_count)
     }
 
     fn on_tick(&mut self, now: Cycle) {

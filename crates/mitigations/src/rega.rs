@@ -69,12 +69,6 @@ impl RowHammerMitigation for Rega {
         "REGA"
     }
 
-    fn quiescent_activations(&self) -> u64 {
-        // The per-ACT latency penalty is reported through `act_latency_penalty`,
-        // not the response, so every response is a nop regardless of state.
-        u64::MAX
-    }
-
     fn on_activation(&mut self, _addr: &DramAddr, _now: Cycle, weight: u64) -> MitigationResponse {
         self.stats.activations_observed += weight;
         // The in-DRAM refreshes count as preventive refreshes for energy accounting.

@@ -68,6 +68,18 @@ impl MitigationResponse {
 /// `Send` is a supertrait so that a per-channel mechanism instance can live
 /// inside a controller shard that runs on a worker thread of the parallel
 /// experiment executor.
+///
+/// # Methods the simulator does not call
+///
+/// The memory controller notifies one activation at a time and never copies
+/// a mechanism, so [`on_activations`](Self::on_activations),
+/// [`quiescent_activations`](Self::quiescent_activations),
+/// [`checkpoint`](Self::checkpoint), [`restore`](Self::restore) and
+/// [`as_any`](Self::as_any) have no caller in the simulator. They stay on the
+/// trait because the repository benchmark builds against it: its timing
+/// wrapper (`TimedTracker` in `repobench/src/traced.rs`) implements every
+/// method, so removing one is a change to the benchmark and has to land
+/// together with it.
 pub trait RowHammerMitigation: Send {
     /// Short, stable mechanism name used in experiment reports (e.g. `"CoMeT"`).
     fn name(&self) -> &str;
@@ -86,7 +98,8 @@ pub trait RowHammerMitigation: Send {
     /// calls would have produced. The default implementation is that loop;
     /// mechanisms can override it to amortize per-activation overhead
     /// (epoch checks, repeated lookups of a hot bank's tables) over the
-    /// batch, as long as the responses stay bit-identical.
+    /// batch, as long as the responses stay bit-identical. The simulator
+    /// does not call it (see the trait-level note).
     fn on_activations(&mut self, batch: &[(DramAddr, Cycle, u64)]) -> Vec<MitigationResponse> {
         batch.iter().map(|(addr, now, weight)| self.on_activation(addr, *now, *weight)).collect()
     }
@@ -101,10 +114,8 @@ pub trait RowHammerMitigation: Send {
     /// guarantees a tick at [`next_tick_deadline`](Self::next_tick_deadline)
     /// even on an otherwise idle channel — so time-based bookkeeping must be
     /// *scheduled* through the deadline, not assumed to run on a fixed
-    /// cadence. (Historically the controller clamped every next-event bound
-    /// to `now + tREFI` so `on_tick` ran at least once per refresh interval;
-    /// that clamp is gone, which is what lets an idle channel shard report
-    /// its full idle window to the shard-parallel simulation engine.)
+    /// cadence: an idle channel shard reports its full idle window, and the
+    /// event-driven loop crosses it in one jump.
     fn on_tick(&mut self, _now: Cycle) {}
 
     /// The next cycle at which the mechanism needs [`on_tick`](Self::on_tick)
@@ -157,26 +168,16 @@ pub trait RowHammerMitigation: Send {
     /// ([`next_tick_deadline`](Self::next_tick_deadline)), rank refresh, or
     /// periodic refresh, all of which invalidate the promise — every one of
     /// those [`on_activation`](Self::on_activation) calls would return a
-    /// [nop](MitigationResponse::is_nop) response. The memory controller uses
-    /// this *quiescent credit* to defer activation notifications and deliver
-    /// them later as one [`on_activations`](Self::on_activations) batch: the
-    /// deferred calls replay with their original cycles, so mechanism state
-    /// and statistics come out bit-identical, only the call arity changes.
-    ///
-    /// The default of `0` opts out (every activation is delivered
-    /// immediately), which is always sound. Overriding mechanisms must be
-    /// conservative: the credit is a *proof*, and an overrun — a deferred
-    /// activation whose replayed response is not a nop — is a simulator bug
-    /// (the controller `debug_assert`s it). The method may scan internal
-    /// tables; it is called once per batch refill, not per activation.
+    /// [nop](MitigationResponse::is_nop) response. The default of `0` makes no
+    /// promise and is always sound; no built-in mechanism overrides it, and
+    /// the simulator does not call it (see the trait-level note).
     fn quiescent_activations(&self) -> u64 {
         0
     }
 
-    /// Clones the mechanism into a boxed trait object — the snapshot half of
-    /// the speculative engine's checkpoint/restore seam (and what lets a
-    /// controller shard be checkpointed wholesale). Implemented for every
-    /// mechanism by [`impl_mitigation_checkpoint!`](crate::impl_mitigation_checkpoint).
+    /// Clones the mechanism into a boxed trait object. Implemented for every
+    /// mechanism by [`impl_mitigation_checkpoint!`](crate::impl_mitigation_checkpoint);
+    /// the simulator does not call it (see the trait-level note).
     fn checkpoint(&self) -> Box<dyn RowHammerMitigation>;
 
     /// Restores the mechanism to a state previously captured by

@@ -50,9 +50,8 @@
 //! refresh deadlines, and the mitigation's scheduled tick deadline
 //! (`RowHammerMitigation::next_tick_deadline`, which retired the historical
 //! `now + tREFI` clamp) — exactly what `MemorySystem`'s per-shard next-event
-//! cache, `System::run`'s event jumps, and the shard-parallel engine's
-//! free-running windows consume. The tighter the bound, the fewer no-op
-//! ticks the simulation performs.
+//! cache and `System::run`'s event jumps consume. The tighter the bound, the
+//! fewer no-op ticks the simulation performs.
 //!
 //! All of this is pure bookkeeping: scheduling decisions are bit-identical
 //! to the straightforward full-queue scans, which the bit-exactness suite
@@ -265,7 +264,7 @@ const WRITE_MISS: usize = 3;
 
 /// One bank's scheduling lane: its demand FIFOs plus the per-bank state that
 /// changes only on enqueue or on commands to the bank.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BankLane {
     /// Queued demand reads, in arrival (seq) order.
     reads: VecDeque<Queued>,
@@ -447,102 +446,6 @@ pub struct MemoryController {
     /// Extra energy events for metadata traffic not issued through the channel.
     extra_energy: EnergyCounters,
     last_tick: Cycle,
-    /// Whether activation notifications may be deferred into cross-ACT
-    /// batches (an execution-policy knob of the speculative engine — never
-    /// part of a result's identity, so not in [`ControllerConfig`]).
-    batch_enabled: bool,
-    /// Deferred `(addr, cycle, weight)` activation notifications awaiting
-    /// delivery through `RowHammerMitigation::on_activations`.
-    act_batch: Vec<(DramAddr, Cycle, u64)>,
-    /// Total weight of the deferred entries.
-    batch_weight: u64,
-    /// Quiescent weight budget proven by the mechanism at the last refill;
-    /// deferring is allowed while `batch_weight` stays within it.
-    batch_credit: u64,
-    /// The mechanism's periodic boundary recorded when the batch opened
-    /// (`Cycle::MAX` while empty): the batch must flush before any tick at
-    /// or past it, because the boundary invalidates the quiescent proof.
-    batch_deadline: Cycle,
-    /// Earliest cycle at which a zero-credit verdict is worth revisiting
-    /// (the mechanism's next periodic boundary); avoids rescanning tracker
-    /// state on every activation once the credit is exhausted.
-    batch_rearm_at: Cycle,
-    /// Whether the speculative engine is recording this shard's timeline.
-    recording: bool,
-    /// Recorded tick cycles (the shard's next-event chain) while recording.
-    rec_ticks: Vec<Cycle>,
-    /// Recorded demand-read dequeue cycles while recording.
-    rec_read_deq: Vec<Cycle>,
-    /// Recorded demand-write dequeue cycles while recording.
-    rec_write_deq: Vec<Cycle>,
-}
-
-/// Ceiling on deferred activation entries per shard, bounding the batch
-/// buffer and amortizing one credit refill over many activations.
-const ACT_BATCH_CAP: usize = 1024;
-
-/// The timeline a controller shard recorded during a speculative free-run:
-/// every tick cycle plus every demand dequeue cycle, in increasing order.
-/// The speculative engine replays core-visible questions (next-event hints,
-/// queue occupancy) against this trace instead of the live shard state.
-#[derive(Debug, Default)]
-pub(crate) struct ControllerTrace {
-    /// Cycles at which `tick` ran (strictly increasing).
-    pub ticks: Vec<Cycle>,
-    /// Cycles at which a demand read left its queue (nondecreasing).
-    pub read_dequeues: Vec<Cycle>,
-    /// Cycles at which a demand write left its queue (nondecreasing).
-    pub write_dequeues: Vec<Cycle>,
-}
-
-impl Clone for MemoryController {
-    // Manual impl because `Box<dyn RowHammerMitigation>` is not `Clone`;
-    // the mechanism is duplicated through its checkpoint seam.
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config.clone(),
-            timing: self.timing.clone(),
-            geometry: self.geometry.clone(),
-            channel: self.channel.clone(),
-            refresh: self.refresh.clone(),
-            mitigation: self.mitigation.checkpoint(),
-            lanes: self.lanes.clone(),
-            sched: self.sched.clone(),
-            class_queues: self.class_queues.clone(),
-            dirty: self.dirty.clone(),
-            next_hold_check: self.next_hold_check,
-            pending: self.pending.clone(),
-            next_seq: self.next_seq,
-            read_len: self.read_len,
-            write_len: self.write_len,
-            preventive_queue: self.preventive_queue.clone(),
-            preventive_open: self.preventive_open,
-            rank_refresh_pending: self.rank_refresh_pending,
-            open_rows: self.open_rows.clone(),
-            rank_seq: self.rank_seq.clone(),
-            bank_seq: self.bank_seq.clone(),
-            bank_act_c: self.bank_act_c.clone(),
-            bank_pre_c: self.bank_pre_c.clone(),
-            group_act_c: self.group_act_c.clone(),
-            draining_writes: self.draining_writes,
-            completions: self.completions.clone(),
-            stats: self.stats,
-            pressure: self.pressure,
-            tick_evals: self.tick_evals,
-            extra_energy: self.extra_energy,
-            last_tick: self.last_tick,
-            batch_enabled: self.batch_enabled,
-            act_batch: self.act_batch.clone(),
-            batch_weight: self.batch_weight,
-            batch_credit: self.batch_credit,
-            batch_deadline: self.batch_deadline,
-            batch_rearm_at: self.batch_rearm_at,
-            recording: self.recording,
-            rec_ticks: self.rec_ticks.clone(),
-            rec_read_deq: self.rec_read_deq.clone(),
-            rec_write_deq: self.rec_write_deq.clone(),
-        }
-    }
 }
 
 impl MemoryController {
@@ -597,16 +500,6 @@ impl MemoryController {
             tick_evals: 0,
             extra_energy: EnergyCounters::default(),
             last_tick: 0,
-            batch_enabled: false,
-            act_batch: Vec::new(),
-            batch_weight: 0,
-            batch_credit: 0,
-            batch_deadline: Cycle::MAX,
-            batch_rearm_at: 0,
-            recording: false,
-            rec_ticks: Vec::new(),
-            rec_read_deq: Vec::new(),
-            rec_write_deq: Vec::new(),
         }
     }
 
@@ -807,104 +700,6 @@ impl MemoryController {
     /// Capacity of the demand write queue.
     pub fn write_queue_capacity(&self) -> usize {
         self.config.write_queue_size
-    }
-
-    /// Enables or disables cross-ACT batching. Purely an execution policy:
-    /// a batched run is bit-exact with a serial one, it merely delivers
-    /// provably-nop activation notifications to the tracker in groups.
-    pub fn set_act_batching(&mut self, enabled: bool) {
-        self.batch_enabled = enabled;
-        if !enabled {
-            self.flush_act_batch();
-        }
-    }
-
-    /// Routes an activation notification to the mitigation, deferring it
-    /// into the cross-ACT batch while the mechanism's quiescent credit
-    /// proves the response must be a nop.
-    fn notify_activation(&mut self, addr: &DramAddr, now: Cycle, weight: u64) -> MitigationResponse {
-        if !self.batch_enabled {
-            return self.mitigation.on_activation(addr, now, weight);
-        }
-        if self.batch_weight.saturating_add(weight) <= self.batch_credit
-            && self.act_batch.len() < ACT_BATCH_CAP
-        {
-            if self.act_batch.is_empty() {
-                self.batch_deadline = self.mitigation.next_tick_deadline();
-            }
-            self.act_batch.push((*addr, now, weight));
-            self.batch_weight += weight;
-            return MitigationResponse::none();
-        }
-        self.flush_act_batch();
-        if now >= self.batch_rearm_at {
-            let credit = self.mitigation.quiescent_activations();
-            if weight <= credit {
-                self.batch_credit = credit;
-                self.batch_weight = weight;
-                self.batch_deadline = self.mitigation.next_tick_deadline();
-                self.act_batch.push((*addr, now, weight));
-                return MitigationResponse::none();
-            }
-            // No headroom: deliver directly and skip rescanning tracker
-            // state until the next periodic boundary can restore credit.
-            self.batch_rearm_at = self.mitigation.next_tick_deadline();
-        }
-        self.mitigation.on_activation(addr, now, weight)
-    }
-
-    /// Delivers the deferred activation batch through `on_activations` and
-    /// resets the credit state. Every response must be a nop — that is what
-    /// the quiescent credit proved when the entries were deferred.
-    pub(crate) fn flush_act_batch(&mut self) {
-        if !self.act_batch.is_empty() {
-            let batch = std::mem::take(&mut self.act_batch);
-            let responses = self.mitigation.on_activations(&batch);
-            debug_assert!(
-                responses.iter().all(|r| r.is_nop()),
-                "quiescent credit overran: a deferred activation produced a non-nop response"
-            );
-            drop(responses);
-            // Keep the buffer's capacity for the next batch.
-            self.act_batch = batch;
-            self.act_batch.clear();
-        }
-        self.batch_weight = 0;
-        self.batch_credit = 0;
-        self.batch_deadline = Cycle::MAX;
-    }
-
-    /// Snapshots the full controller state (timing, queues, scheduler memos,
-    /// mitigation) for speculative execution. Flushes the activation batch
-    /// first so the snapshot is self-contained.
-    pub(crate) fn checkpoint(&mut self) -> Box<MemoryController> {
-        self.flush_act_batch();
-        Box::new(self.clone())
-    }
-
-    /// Restores the controller to a previously taken [`checkpoint`](Self::checkpoint).
-    pub(crate) fn restore(&mut self, checkpoint: Box<MemoryController>) {
-        *self = *checkpoint;
-    }
-
-    /// Starts recording the shard's timeline (tick cycles and demand
-    /// dequeue cycles) for the speculative engine.
-    pub(crate) fn start_recording(&mut self) {
-        debug_assert!(!self.recording, "recording already active");
-        self.recording = true;
-        self.rec_ticks.clear();
-        self.rec_read_deq.clear();
-        self.rec_write_deq.clear();
-    }
-
-    /// Stops recording and returns the captured timeline.
-    pub(crate) fn take_recording(&mut self) -> ControllerTrace {
-        self.recording = false;
-        ControllerTrace {
-            ticks: std::mem::take(&mut self.rec_ticks),
-            read_dequeues: std::mem::take(&mut self.rec_read_deq),
-            write_dequeues: std::mem::take(&mut self.rec_write_deq),
-        }
     }
 
     /// Whether the controller has any pending work besides periodic refresh.
@@ -1166,9 +961,6 @@ impl MemoryController {
     /// Performs the early preventive refresh: precharge the rank, then issue
     /// one full refresh window's worth of REF commands back to back.
     fn perform_rank_refresh(&mut self, rank: usize, now: Cycle) {
-        // The refresh resets tracker rows, invalidating the quiescent proof
-        // behind any deferred activations: deliver them first.
-        self.flush_act_batch();
         let refs = self.timing.refs_per_window().max(1);
         let addr = DramAddr { channel: 0, rank, bank_group: 0, bank: 0, row: 0, column: 0 };
         let pre_at = self.channel.earliest_issue(CommandKind::PreAll, &addr, now);
@@ -1194,15 +986,6 @@ impl MemoryController {
     /// entirely.
     pub fn tick(&mut self, now: Cycle) -> Cycle {
         self.last_tick = now;
-        if self.recording {
-            self.rec_ticks.push(now);
-        }
-        if now >= self.batch_deadline {
-            // The mechanism's periodic boundary is about to apply inside
-            // `on_tick`; deliver the deferred activations on pre-boundary
-            // state so the batch replays exactly as the serial order would.
-            self.flush_act_batch();
-        }
         self.mitigation.on_tick(now);
 
         // 1. Early preventive refresh requested by the mitigation.
@@ -1267,9 +1050,6 @@ impl MemoryController {
                 self.note_issued(CommandKind::Ref, &addr);
                 self.refresh.note_refresh_issued(rank);
                 self.stats.periodic_refreshes += 1;
-                // Deliver deferred activations before the refresh hook can
-                // mutate tracker state out from under their quiescent proof.
-                self.flush_act_batch();
                 self.mitigation.on_periodic_refresh(rank, now);
                 // Another rank may be refresh-due (or demand ready) the very
                 // next cycle, so the only sound next-event bound after issuing
@@ -1486,8 +1266,8 @@ impl MemoryController {
         // boundaries through `next_tick_deadline`, so a quiet shard wakes
         // exactly at each boundary (preserving the reset cadence bit-exactly)
         // instead of once per refresh interval — and a shard with neither
-        // resets nor demand pending reports its full idle window, which is
-        // what lets the shard-parallel engine free-run it between barriers.
+        // resets nor demand pending reports its full idle window, which the
+        // event-driven loop crosses in one jump.
         let mut next_wake = self.mitigation.next_tick_deadline().max(now + 1);
         let refresh_due = self.refresh.earliest_due();
         next_wake = next_wake.min(refresh_due.max(now + 1));
@@ -1540,13 +1320,6 @@ impl MemoryController {
             }
             let entry =
                 self.lanes[bank].fifo_mut(writes).remove(cand.index as usize).expect("candidate index valid");
-            if self.recording {
-                if writes {
-                    self.rec_write_deq.push(now);
-                } else {
-                    self.rec_read_deq.push(now);
-                }
-            }
             self.channel.issue_trusted(cmd, &addr, now);
             self.note_issued(cmd, &addr);
             let lane = &mut self.lanes[bank];
@@ -1609,7 +1382,7 @@ impl MemoryController {
                             continue;
                         }
                         if !request.act_notified {
-                            let response = self.notify_activation(&request.addr, now, 1);
+                            let response = self.mitigation.on_activation(&request.addr, now, 1);
                             let throttled = response.throttle_cycles > 0;
                             let hold = self.apply_response(response, &request.addr, now);
                             let entry = &mut self.lanes[bank].fifo_mut(writes)[cand.index as usize];
@@ -1874,55 +1647,6 @@ mod tests {
         assert!(mc.stats().preventive_refreshes_done >= 4, "{:?}", mc.stats());
         assert!(mc.mitigation_stats().preventive_refreshes >= 4);
         assert!(mc.channel_stats().acts >= 400, "every request must activate a row");
-    }
-
-    #[test]
-    fn rollback_restores_tracker_named_counts_exactly() {
-        // The optimistic engine's rollback contract at the controller level:
-        // a checkpoint taken at a barrier must restore the mitigation state
-        // bit-exactly — named counter by named counter — when the speculated
-        // work that followed it is thrown away.
-        let tracker = PerRowCounters::new(
-            64,
-            &DramConfig::ddr4_paper_default().timing,
-            DramConfig::ddr4_paper_default().geometry,
-        );
-        let mut mc = controller_with(Box::new(tracker));
-        let mut now: Cycle = 0;
-        let drive = |mc: &mut MemoryController, now: &mut Cycle, base_row: usize| {
-            // Distinct rows across banks so every request re-activates and
-            // the tracker does real counting work.
-            for i in 0..40usize {
-                assert!(mc.enqueue(MemRequest::new(
-                    i as u64,
-                    0,
-                    addr(i % 4, i % 4, base_row + 3 * i, 0),
-                    false,
-                    *now
-                )));
-            }
-            while mc.queued_requests() > 0 {
-                *now = mc.tick(*now).max(*now + 1);
-                mc.take_completions();
-                assert!(*now < 10_000_000, "controller failed to drain");
-            }
-        };
-        drive(&mut mc, &mut now, 10);
-        let checkpoint = mc.checkpoint();
-        let at_checkpoint = mc.mitigation_stats().named_counts();
-        // "Speculate": hammer fresh rows, then throw the work away.
-        drive(&mut mc, &mut now, 5_000);
-        assert_ne!(
-            mc.mitigation_stats().named_counts(),
-            at_checkpoint,
-            "the speculated traffic must move tracker state, or the test proves nothing"
-        );
-        mc.restore(checkpoint);
-        assert_eq!(
-            mc.mitigation_stats().named_counts(),
-            at_checkpoint,
-            "rollback must restore every named tracker counter exactly"
-        );
     }
 
     #[test]

@@ -37,9 +37,6 @@ struct OutstandingRead {
     request_id: u64,
     instruction_index: u64,
     completion_cpu: Option<f64>,
-    /// Memory channel serving the read — the shard whose progress unblocks a
-    /// window stalled on this read (see [`TraceCore::blocking_channel`]).
-    channel: u16,
 }
 
 /// A trace-driven core.
@@ -190,27 +187,6 @@ impl TraceCore {
         }
     }
 
-    /// The memory channel whose progress is required to unblock a core whose
-    /// [`advance`](Self::advance) returned `None` and whose
-    /// [`blocked_wake`](Self::blocked_wake) is unknown — the shard holding
-    /// the oldest outstanding read (window full, completion not yet
-    /// reported), or the shard whose full queue rejected the pending access.
-    ///
-    /// The shard-parallel simulation loop bounds its free-running window at
-    /// that shard's next event: every other iteration the serial loop would
-    /// have re-advanced this core on is a no-op (the queue cannot have freed
-    /// and the front read cannot have completed before the blocking shard's
-    /// next command), so skipping them is bit-exact.
-    pub fn blocking_channel(&self) -> Option<usize> {
-        if self.window_headroom() == 0 {
-            return self.outstanding.front().map(|f| f.channel as usize);
-        }
-        if self.stalled_on_full_queue {
-            return self.pending_addr.as_ref().map(|a| a.channel);
-        }
-        None
-    }
-
     /// First DRAM cycle `w` whose dispatch window in [`advance`](Self::advance)
     /// (`until_cpu = dram_to_cpu(w + 1) - 1e-9`) covers the CPU-cycle
     /// timestamp `t` — i.e. the earliest iteration at which a read completing
@@ -342,7 +318,6 @@ impl TraceCore {
                     request_id: self.next_request_id,
                     instruction_index: self.instructions_dispatched,
                     completion_cpu: None,
-                    channel: addr.channel as u16,
                 });
                 self.reads_issued += 1;
             }

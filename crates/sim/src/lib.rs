@@ -46,8 +46,6 @@ pub mod metrics;
 pub mod registry;
 pub mod request;
 pub mod runner;
-pub mod shardpool;
-pub(crate) mod speculate;
 pub mod system;
 pub mod telemetry;
 
@@ -60,5 +58,4 @@ pub use metrics::{geometric_mean, normalized_distribution, DistributionSummary, 
 pub use registry::{MechanismRegistry, MechanismSpec, RegisteredFactory};
 pub use request::MemRequest;
 pub use runner::{MechanismKind, Runner, RunnerError};
-pub use shardpool::ShardPool;
 pub use system::{LoopMode, SimConfig, System};

@@ -14,8 +14,6 @@
 
 use crate::controller::{ControllerConfig, ControllerStats, MemoryController};
 use crate::request::{CompletedRead, MemRequest};
-use crate::shardpool::{free_run_shard, ShardPool};
-use crate::speculate::ShardSpeculation;
 use comet_dram::{ChannelStats, Cycle, DramAddr, DramConfig, EnergyCounters};
 use comet_mitigations::{MitigationFactory, MitigationStats};
 
@@ -60,10 +58,6 @@ pub struct MemorySystem {
     /// Per-shard cached next-event time: the shard is not ticked again before
     /// this cycle unless [`enqueue`](MemorySink::enqueue) invalidates it.
     next_event: Vec<Cycle>,
-    /// Scratch list of the shards due inside the current step window (reused
-    /// across [`step_until`](Self::step_until) calls, so the windowed loop
-    /// allocates nothing per step).
-    due_scratch: Vec<u16>,
 }
 
 impl MemorySystem {
@@ -81,8 +75,7 @@ impl MemorySystem {
             .map(|channel| MemoryController::new(dram.clone(), controller.clone(), mitigation.build(channel)))
             .collect();
         let next_event = vec![0; shards.len()];
-        let due_scratch = Vec::with_capacity(shards.len());
-        MemorySystem { shards, next_event, due_scratch }
+        MemorySystem { shards, next_event }
     }
 
     /// Number of channel shards.
@@ -140,118 +133,6 @@ impl MemorySystem {
             min_next = min_next.min(*next);
         }
         min_next
-    }
-
-    /// Free-runs every shard through all of its own events in the window
-    /// `[start, until)`, fanning the due shards out over `pool` (which may be
-    /// the serial pool). Equivalent to repeatedly calling
-    /// [`tick`](Self::tick) at every event cycle inside the window — with
-    /// `until == start + 1` it *is* one such call — and therefore sound
-    /// exactly when no request is enqueued and no completion is consumed
-    /// until `until`: shards are independent between those interactions, so
-    /// each one's tick chain inside the window is a pure function of its own
-    /// state. Completions accumulate in the shards' buffers for the drain at
-    /// the window barrier. Returns the earliest cached next-event time over
-    /// all shards (necessarily `>= until`).
-    pub fn step_until(&mut self, start: Cycle, until: Cycle, pool: &ShardPool) -> Cycle {
-        debug_assert!(until > start, "step window must be non-empty");
-        self.due_scratch.clear();
-        for (index, &next) in self.next_event.iter().enumerate() {
-            if next < until {
-                self.due_scratch.push(index as u16);
-            }
-        }
-        pool.step(&mut self.shards, &mut self.next_event, &self.due_scratch, start, until);
-        self.next_event.iter().copied().min().unwrap_or(Cycle::MAX)
-    }
-
-    /// The cached cycle at which `channel`'s shard is next due to tick — a
-    /// sound lower bound on its next state change. The shard-parallel loop
-    /// uses this to bound free-running windows for cores blocked on that
-    /// shard's progress.
-    pub fn shard_next_event(&self, channel: usize) -> Cycle {
-        self.next_event[channel]
-    }
-
-    /// Enables or disables cross-ACT batching on every shard. Execution
-    /// policy only — results stay bit-exact either way.
-    pub fn set_act_batching(&mut self, enabled: bool) {
-        for shard in &mut self.shards {
-            shard.set_act_batching(enabled);
-        }
-    }
-
-    /// Delivers every shard's deferred activation batch. Must run before any
-    /// statistics snapshot (warmup boundary, run end) so deferred
-    /// notifications are reflected in the mechanism's counters.
-    pub fn flush_act_batches(&mut self) {
-        for shard in &mut self.shards {
-            shard.flush_act_batch();
-        }
-    }
-
-    /// Launches a speculative region: checkpoints every shard, enables
-    /// timeline recording, and free-runs them all to the speculated horizon
-    /// `spec` in one pool fan-out. Returns the per-channel speculation
-    /// records; the shards themselves are left holding the speculated state
-    /// with cached next-event times `>= spec` (so `step_until` windows
-    /// inside the region never re-step them).
-    pub(crate) fn speculate(
-        &mut self,
-        start: Cycle,
-        spec: Cycle,
-        pool: &ShardPool,
-    ) -> Vec<Option<ShardSpeculation>> {
-        debug_assert!(spec > start, "speculated horizon must extend past the barrier");
-        let mut checkpoints = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            checkpoints.push(shard.checkpoint());
-            shard.start_recording();
-        }
-        let base_cached = self.next_event.clone();
-        self.due_scratch.clear();
-        for (index, &next) in self.next_event.iter().enumerate() {
-            if next < spec {
-                self.due_scratch.push(index as u16);
-            }
-        }
-        pool.step(&mut self.shards, &mut self.next_event, &self.due_scratch, start, spec);
-        self.shards
-            .iter_mut()
-            .zip(checkpoints)
-            .zip(&base_cached)
-            .zip(&self.next_event)
-            .map(|(((shard, checkpoint), &cached), &final_due)| {
-                Some(ShardSpeculation::harvest(shard, checkpoint, cached, final_due))
-            })
-            .collect()
-    }
-
-    /// Rolls one speculated shard back to its checkpoint and replays it
-    /// conservatively through `[start, now)` — the exact tick chain the
-    /// speculation executed, since no enqueue reached the shard in that
-    /// span. The replay regenerates the completions already delivered to
-    /// the cores from the speculation's buffer; they are discarded here
-    /// (debug builds assert they match the delivered prefix bit-for-bit).
-    pub(crate) fn rollback_shard(
-        &mut self,
-        channel: usize,
-        speculation: ShardSpeculation,
-        start: Cycle,
-        now: Cycle,
-    ) {
-        let (checkpoint, base_cached, completions, delivered) = speculation.into_rollback_parts();
-        let shard = &mut self.shards[channel];
-        shard.restore(checkpoint);
-        self.next_event[channel] = free_run_shard(shard, base_cached, start, now);
-        let mut replayed = Vec::new();
-        shard.drain_completions_into(&mut replayed);
-        debug_assert_eq!(
-            replayed.as_slice(),
-            &completions[..delivered],
-            "conservative replay diverged from the speculated timeline"
-        );
-        let _ = (replayed, completions, delivered);
     }
 
     /// Drains the reads completed since the last call, in channel order.

@@ -49,42 +49,12 @@ pub struct RunResult {
     pub engine: EngineTelemetry,
 }
 
-/// Window-length bucket bounds (DRAM cycles) for the shard-engine histogram;
-/// a trailing `+Inf` bucket is implicit.
-pub const WINDOW_CYCLES_BOUNDS: [f64; 8] = [4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0];
-
-/// Speculation-depth bucket bounds (barrier windows covered per speculative
-/// region) for the optimistic-engine histogram; a trailing `+Inf` bucket is
-/// implicit.
-pub const SPEC_DEPTH_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
-/// Telemetry the engine accumulates outside the serialized result: window
-/// statistics from the sharded loop (plain `u64` tallies, so the hot loop
-/// never touches an atomic) plus end-of-run scheduler and tracker structure
-/// snapshots. Published into the process-global registry by
-/// [`crate::telemetry::publish_run`].
+/// Telemetry the engine gathers outside the serialized result: end-of-run
+/// scheduler and tracker structure snapshots, read from cold accessors once
+/// per run so the simulated path never touches an atomic. Published into the
+/// process-global registry by [`crate::telemetry::publish_run`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineTelemetry {
-    /// Core-visible event windows executed (0 for the serial loop).
-    pub windows: u64,
-    /// Sum of window lengths in DRAM cycles.
-    pub window_cycles_sum: u64,
-    /// Longest window in DRAM cycles.
-    pub window_cycles_max: u64,
-    /// Per-bucket window-length counts over [`WINDOW_CYCLES_BOUNDS`] plus
-    /// the trailing `+Inf` bucket (empty when no windowed loop ran).
-    pub window_bucket_counts: Vec<u64>,
-    /// Speculative regions launched by the optimistic engine.
-    pub speculation_regions: u64,
-    /// Shard speculations that committed (validated at the region barrier).
-    pub speculation_commits: u64,
-    /// Shard speculations rolled back and replayed conservatively.
-    pub speculation_rollbacks: u64,
-    /// Sum of barrier windows covered per region (histogram sum).
-    pub speculation_depth_sum: u64,
-    /// Per-bucket region-depth counts over [`SPEC_DEPTH_BOUNDS`] plus the
-    /// trailing `+Inf` bucket (empty when the optimistic engine never ran).
-    pub speculation_depth_bucket_counts: Vec<u64>,
     /// Ready-set scheduler pressure per channel shard at run end.
     pub scheduler: Vec<SchedulerPressure>,
     /// Peak bank-lane queue depth per channel shard at run end.

@@ -156,20 +156,6 @@ pub struct Runner {
     seed: u64,
     registry: Arc<MechanismRegistry>,
     loop_mode: LoopMode,
-    /// Threads stepping the channel shards of one simulation through the
-    /// windowed shard-parallel engine; `None` selects the classic serial
-    /// loop. Execution policy, not simulation identity: results are
-    /// bit-identical for every value, so this is deliberately *not* part of
-    /// the experiment service's cache key.
-    shard_threads: Option<usize>,
-    /// Window-jitter seed for the barrier-soundness tests (`None` in normal
-    /// operation). Also pure execution policy.
-    window_jitter: Option<u64>,
-    /// Speculation depth multiplier for the optimistic shard engine
-    /// (`None` keeps the conservative barrier loop). Pure execution policy:
-    /// speculative runs are bit-identical to serial ones, so this too stays
-    /// out of the experiment service's cache key.
-    speculation: Option<u64>,
 }
 
 impl Runner {
@@ -187,15 +173,7 @@ impl Runner {
 
     /// Creates a runner resolving mechanisms through a custom registry.
     pub fn with_registry(config: SimConfig, seed: u64, registry: Arc<MechanismRegistry>) -> Self {
-        Runner {
-            config,
-            seed,
-            registry,
-            loop_mode: LoopMode::default(),
-            shard_threads: None,
-            window_jitter: None,
-            speculation: None,
-        }
+        Runner { config, seed, registry, loop_mode: LoopMode::default() }
     }
 
     /// Selects the simulation-loop mode (builder style). Results are
@@ -203,39 +181,6 @@ impl Runner {
     /// the equivalence tests that prove exactly that.
     pub fn with_loop_mode(mut self, mode: LoopMode) -> Self {
         self.loop_mode = mode;
-        self
-    }
-
-    /// Runs each simulation through the shard-parallel windowed engine with
-    /// `threads` stepping threads (builder style; the simulating thread
-    /// counts as one, and the pool is capped at the channel count and the
-    /// machine's available parallelism). `threads == 1` selects the windowed
-    /// engine with no worker threads — same barrier-per-window loop, inline
-    /// stepping. Results are bit-identical to the serial loop for every
-    /// value — this is pure execution policy and not part of a cell's cache
-    /// identity. Only meaningful with [`LoopMode::EventDriven`]; the dense
-    /// reference loop always steps serially.
-    pub fn with_shard_threads(mut self, threads: usize) -> Self {
-        self.shard_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Splits every shard-parallel free-running window at a pseudo-random
-    /// point derived from `seed` (builder style) — the barrier-soundness
-    /// test hook. Implies the windowed loop even at one thread.
-    pub fn with_window_jitter(mut self, seed: u64) -> Self {
-        self.window_jitter = Some(seed);
-        self
-    }
-
-    /// Lets the windowed engine speculate `depth` proven windows ahead with
-    /// per-shard checkpoint/rollback, and batches provably-independent
-    /// activation notifications across the speculated span (builder style).
-    /// Implies the windowed loop even at one thread. Results are
-    /// bit-identical to the serial loop for every depth — execution policy,
-    /// never cell identity. Ignored under [`LoopMode::DenseReference`].
-    pub fn with_speculation(mut self, depth: u64) -> Self {
-        self.speculation = Some(depth.max(1));
         self
     }
 
@@ -292,23 +237,7 @@ impl Runner {
     ) -> Result<RunResult, RunnerError> {
         let config = self.validated_config()?.clone();
         let factory = self.registry.factory(kind, nrh, &config.dram, self.seed)?;
-        let system = System::new(config, traces, &factory);
-        Ok(match (self.loop_mode, self.window_jitter, self.shard_threads, self.speculation) {
-            // The dense reference loop is the serial oracle; it never runs
-            // windowed, sharded, or speculative.
-            (LoopMode::DenseReference, _, _, _) => system.run_with_mode(label, self.loop_mode),
-            (LoopMode::EventDriven, Some(seed), threads, Some(depth)) => {
-                system.run_sharded_jittered_speculative(label, threads.unwrap_or(1), seed, depth)
-            }
-            (LoopMode::EventDriven, Some(seed), threads, None) => {
-                system.run_sharded_jittered(label, threads.unwrap_or(1), seed)
-            }
-            (LoopMode::EventDriven, None, threads, Some(depth)) => {
-                system.run_sharded_speculative(label, threads.unwrap_or(1), depth)
-            }
-            (LoopMode::EventDriven, None, Some(threads), None) => system.run_sharded(label, threads),
-            (LoopMode::EventDriven, None, None, None) => system.run_with_mode(label, self.loop_mode),
-        })
+        Ok(System::new(config, traces, &factory).run_with_mode(label, self.loop_mode))
     }
 
     /// Runs one single-core workload under `kind` at RowHammer threshold `nrh`.

@@ -11,7 +11,7 @@
 //! keeps in its own registry, so rendering both into one scrape body can
 //! never collide.
 
-use crate::metrics::{RunResult, SPEC_DEPTH_BOUNDS, WINDOW_CYCLES_BOUNDS};
+use crate::metrics::RunResult;
 use comet_telemetry::Registry;
 
 /// Publishes `result`'s telemetry into `registry`. Tracker counters are
@@ -33,56 +33,7 @@ pub fn publish_run(result: &RunResult, registry: &Registry) {
         .counter_with("comet_engine_activations_total", "Row activations issued to DRAM.", &by_mech)
         .add(result.activations);
 
-    // The windowed loop's tallies fold into one histogram publish; the
-    // serial loop reports no windows and skips the family entirely.
     let engine = &result.engine;
-    if engine.windows > 0 {
-        registry
-            .histogram(
-                "comet_engine_window_cycles",
-                "Length in DRAM cycles of each core-visible event window of the sharded loop.",
-                &WINDOW_CYCLES_BOUNDS,
-            )
-            .add_counts(&engine.window_bucket_counts, engine.window_cycles_sum as f64, engine.windows);
-        registry
-            .gauge_with(
-                "comet_engine_window_cycles_max",
-                "Longest window of the most recent sharded run.",
-                &by_mech,
-            )
-            .set(engine.window_cycles_max as f64);
-    }
-
-    // Optimistic-engine tallies — folded from plain locals at run end, like
-    // the window histogram; absent entirely unless speculation ran.
-    if engine.speculation_regions > 0 {
-        registry
-            .counter_with(
-                "comet_engine_speculation_commits_total",
-                "Shard speculations committed (validated at the region barrier).",
-                &by_mech,
-            )
-            .add(engine.speculation_commits);
-        registry
-            .counter_with(
-                "comet_engine_speculation_rollbacks_total",
-                "Shard speculations rolled back and replayed conservatively.",
-                &by_mech,
-            )
-            .add(engine.speculation_rollbacks);
-        registry
-            .histogram(
-                "comet_engine_speculation_depth",
-                "Barrier windows covered by each speculative region.",
-                &SPEC_DEPTH_BOUNDS,
-            )
-            .add_counts(
-                &engine.speculation_depth_bucket_counts,
-                engine.speculation_depth_sum as f64,
-                engine.speculation_regions,
-            );
-    }
-
     for (channel, pressure) in engine.scheduler.iter().enumerate() {
         let channel_label = channel.to_string();
         let labels = [("channel", channel_label.as_str())];
