@@ -1,9 +1,9 @@
 //! Per-bit area densities for the memory structures trackers are built from.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The kind of on-chip memory a tracker component is implemented with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MemoryKind {
     /// Scratchpad SRAM indexed by an address (CoMeT's Counter Table, Hydra's GCT).
     Sram,

@@ -1,9 +1,9 @@
 //! Area report types.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One component of a tracker's storage (e.g. "CT (SRAM)" or "RAT (CAM)").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AreaComponent {
     /// Component name as it appears in Table 4.
     pub name: String,
@@ -14,7 +14,7 @@ pub struct AreaComponent {
 }
 
 /// The storage and area of one mechanism for a dual-rank channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AreaReport {
     /// Mechanism name.
     pub mechanism: String,

@@ -2,13 +2,13 @@
 
 use crate::report::AreaReport;
 use crate::trackers::{comet_report, graphene_report, hydra_report};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The RowHammer thresholds both tables sweep.
 pub const TABLE_THRESHOLDS: [u64; 4] = [1000, 500, 250, 125];
 
 /// One row of Table 1: Graphene's storage overhead per threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table1Row {
     /// RowHammer threshold.
     pub nrh: u64,
@@ -25,7 +25,7 @@ pub fn table1_rows() -> Vec<Table1Row> {
 }
 
 /// One row of Table 4: storage and area for one mechanism at one threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table4Row {
     /// RowHammer threshold.
     pub nrh: u64,

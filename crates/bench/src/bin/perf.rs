@@ -45,12 +45,8 @@ use comet_bench::hotpath::{
     run_basket, run_cells, run_suite_smoke_serial, stress_basket, BasketResult, HotpathScope, SuiteResult,
 };
 use comet_bench::tracker::{tracker_suite, TRACKER_NOW_STEP};
-use comet_bench::{
-    extract_json_number, extract_json_string, extract_scope_accesses_per_sec, extract_scope_cells,
-    CellSummary,
-};
-use serde::Serialize;
-use std::path::PathBuf;
+use serde::{Deserialize, Serialize, Value};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 #[derive(Debug, Clone, Serialize)]
@@ -65,8 +61,8 @@ struct BeforeSummary {
 struct Snapshot {
     schema: &'static str,
     label: String,
-    /// Headline metrics, duplicated at the top level so downstream tooling
-    /// (the CI gate, `--before`) can extract them without a JSON parser.
+    /// Headline metrics, duplicated at the top level, where the CI gate
+    /// (`--check`) and `--before` read them.
     full_accesses_per_sec: Option<f64>,
     smoke_accesses_per_sec: Option<f64>,
     /// Wall-clock of the full experiment suite (smoke scope, serial) — the
@@ -81,6 +77,22 @@ struct Snapshot {
     speedup_full: Option<f64>,
     speedup_smoke: Option<f64>,
     speedup_suite: Option<f64>,
+}
+
+/// Reads and parses a snapshot written by an earlier `perf` run.
+fn read_snapshot(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
+/// A snapshot's top-level label, or `default`.
+fn label(snapshot: &Value, default: &str) -> String {
+    snapshot.get("label").and_then(Value::as_str).unwrap_or(default).to_string()
+}
+
+/// A snapshot's non-empty `full`, `smoke` or `tracker` basket section.
+fn basket(snapshot: &Value, scope: &str) -> Option<BasketResult> {
+    BasketResult::from_value(snapshot.get(scope)?).ok().filter(|basket| !basket.cells.is_empty())
 }
 
 struct Args {
@@ -189,15 +201,15 @@ fn print_basket(result: &BasketResult) {
     );
 }
 
-fn run_check(path: &PathBuf, max_regress_pct: f64, out: Option<&PathBuf>) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+fn run_check(path: &Path, max_regress_pct: f64, out: Option<&PathBuf>) -> ExitCode {
+    let snapshot = match read_snapshot(path) {
+        Ok(snapshot) => snapshot,
         Err(e) => {
-            eprintln!("error: cannot read {}: {e}", path.display());
+            eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let Some(reference) = extract_json_number(&text, "ci_reference_smoke_accesses_per_sec") else {
+    let Some(reference) = snapshot.get("ci_reference_smoke_accesses_per_sec").and_then(Value::as_f64) else {
         eprintln!("error: {} has no ci_reference_smoke_accesses_per_sec", path.display());
         return ExitCode::from(2);
     };
@@ -290,8 +302,8 @@ struct TrackerSpeedup {
 
 /// Snapshot written by `perf --tracker`: the per-mechanism tracker-core
 /// microbench suite (pure ACT-stream driver, no DRAM model). The `tracker`
-/// section mirrors a basket result so `perf --diff` renders it with the same
-/// extractors as the simulation baskets.
+/// section is a basket result, so `perf --diff` decodes and renders it like
+/// the simulation baskets.
 #[derive(Debug, Clone, Serialize)]
 struct TrackerSnapshot {
     schema: &'static str,
@@ -354,11 +366,10 @@ fn run_tracker(args: &Args) -> ExitCode {
     };
 
     if let Some(path) = &args.before {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let old_cells = extract_scope_cells(&text, "tracker");
-                snapshot.before_label =
-                    Some(extract_json_string(&text, "label").unwrap_or_else(|| "before".to_string()));
+        match read_snapshot(path) {
+            Ok(before) => {
+                let old_cells = basket(&before, "tracker").map(|b| b.cells).unwrap_or_default();
+                snapshot.before_label = Some(label(&before, "before"));
                 for cell in &snapshot.tracker.cells {
                     let Some(old) = old_cells.iter().find(|c| c.label == cell.label) else { continue };
                     if old.accesses_per_sec > 0.0 {
@@ -381,7 +392,7 @@ fn run_tracker(args: &Args) -> ExitCode {
                     println!("tracker speedup geomean: {g:.2}x over {n} cells");
                 }
             }
-            Err(e) => eprintln!("warning: cannot read --before {}: {e}", path.display()),
+            Err(e) => eprintln!("warning: --before: {e}"),
         }
     }
 
@@ -418,30 +429,23 @@ fn geomean(speedups: &[f64]) -> Option<(f64, usize)> {
 
 /// Compares two snapshots cell by cell and prints a Markdown speedup report
 /// (suitable for a terminal and for a CI job summary alike).
-fn run_diff(old_path: &PathBuf, new_path: &PathBuf) -> ExitCode {
-    let (old_text, new_text) = match (std::fs::read_to_string(old_path), std::fs::read_to_string(new_path)) {
+fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
+    let (old, new) = match (read_snapshot(old_path), read_snapshot(new_path)) {
         (Ok(old), Ok(new)) => (old, new),
-        (Err(e), _) => {
-            eprintln!("error: cannot read {}: {e}", old_path.display());
-            return ExitCode::from(2);
-        }
-        (_, Err(e)) => {
-            eprintln!("error: cannot read {}: {e}", new_path.display());
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let old_label = extract_json_string(&old_text, "label").unwrap_or_else(|| "old".to_string());
-    let new_label = extract_json_string(&new_text, "label").unwrap_or_else(|| "new".to_string());
     println!("## perf diff");
     println!();
-    println!("before: `{old_label}` — after: `{new_label}`");
+    println!("before: `{}` — after: `{}`", label(&old, "old"), label(&new, "new"));
     let mut compared_anything = false;
     for scope in ["full", "smoke", "tracker"] {
-        let old_cells = extract_scope_cells(&old_text, scope);
-        let new_cells = extract_scope_cells(&new_text, scope);
-        if old_cells.is_empty() || new_cells.is_empty() {
+        let (Some(old_basket), Some(new_basket)) = (basket(&old, scope), basket(&new, scope)) else {
             continue;
-        }
+        };
+        let (old_cells, new_cells) = (&old_basket.cells, &new_basket.cells);
         compared_anything = true;
         let unit = if scope == "tracker" { "acts/s" } else { "acc/s" };
         println!();
@@ -453,13 +457,13 @@ fn run_diff(old_path: &PathBuf, new_path: &PathBuf) -> ExitCode {
         println!();
         println!("| Cell | before {unit} | after {unit} | speedup |");
         println!("|---|---:|---:|---:|");
-        let old_by_label: std::collections::HashMap<&str, &CellSummary> =
+        let old_by_label: std::collections::HashMap<&str, &CellResult> =
             old_cells.iter().map(|c| (c.label.as_str(), c)).collect();
         let mut speedups = Vec::new();
         let mut attack_speedups = Vec::new();
         let mut by_mechanism: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
         let mut checksum_drift = Vec::new();
-        for cell in &new_cells {
+        for cell in new_cells {
             let Some(old) = old_by_label.get(cell.label.as_str()) else {
                 println!("| {} | — | {:.0} | new cell |", cell.label, cell.accesses_per_sec);
                 continue;
@@ -478,29 +482,23 @@ fn run_diff(old_path: &PathBuf, new_path: &PathBuf) -> ExitCode {
                 if let Some(mechanism) = cell.label.split('/').next() {
                     by_mechanism.entry(mechanism.to_string()).or_default().push(speedup);
                 }
-                if let (Some(old_sum), Some(new_sum)) = (&old.checksum, &cell.checksum) {
-                    if old_sum != new_sum {
-                        checksum_drift.push(cell.label.clone());
-                    }
+                if old.checksum != cell.checksum {
+                    checksum_drift.push(cell.label.clone());
                 }
             }
         }
-        for old in &old_cells {
+        for old in old_cells {
             if !new_cells.iter().any(|c| c.label == old.label) {
                 println!("| {} | {:.0} | — | removed |", old.label, old.accesses_per_sec);
             }
         }
         println!();
-        if let (Some(old_agg), Some(new_agg)) = (
-            extract_scope_accesses_per_sec(&old_text, scope),
-            extract_scope_accesses_per_sec(&new_text, scope),
-        ) {
-            if old_agg > 0.0 {
-                println!(
-                    "- **{scope} aggregate: {:.2}x** ({old_agg:.0} → {new_agg:.0} {unit})",
-                    new_agg / old_agg
-                );
-            }
+        let (old_agg, new_agg) = (old_basket.accesses_per_sec, new_basket.accesses_per_sec);
+        if old_agg > 0.0 {
+            println!(
+                "- **{scope} aggregate: {:.2}x** ({old_agg:.0} → {new_agg:.0} {unit})",
+                new_agg / old_agg
+            );
         }
         if let Some((g, n)) = geomean(&speedups) {
             println!("- per-cell speedup geomean: {g:.2}x over {n} cells");
@@ -520,7 +518,8 @@ fn run_diff(old_path: &PathBuf, new_path: &PathBuf) -> ExitCode {
             );
         }
     }
-    match (extract_json_number(&old_text, "suite_wall_s"), extract_json_number(&new_text, "suite_wall_s")) {
+    let suite_wall_s = |snapshot: &Value| snapshot.get("suite_wall_s").and_then(Value::as_f64);
+    match (suite_wall_s(&old), suite_wall_s(&new)) {
         (Some(old_wall), Some(new_wall)) if new_wall > 0.0 => {
             println!();
             println!(
@@ -627,13 +626,13 @@ fn run(args: &Args) -> ExitCode {
     }
 
     if let Some(path) = &args.before {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
+        match read_snapshot(path) {
+            Ok(earlier) => {
                 let before = BeforeSummary {
-                    label: extract_json_string(&text, "label").unwrap_or_else(|| "before".to_string()),
-                    full_accesses_per_sec: extract_json_number(&text, "full_accesses_per_sec"),
-                    smoke_accesses_per_sec: extract_json_number(&text, "smoke_accesses_per_sec"),
-                    suite_wall_s: extract_json_number(&text, "suite_wall_s"),
+                    label: label(&earlier, "before"),
+                    full_accesses_per_sec: earlier.get("full_accesses_per_sec").and_then(Value::as_f64),
+                    smoke_accesses_per_sec: earlier.get("smoke_accesses_per_sec").and_then(Value::as_f64),
+                    suite_wall_s: earlier.get("suite_wall_s").and_then(Value::as_f64),
                 };
                 let speedup = |now: Option<f64>, was: Option<f64>| match (now, was) {
                     (Some(now), Some(was)) if was > 0.0 => Some(now / was),
@@ -658,9 +657,7 @@ fn run(args: &Args) -> ExitCode {
                 }
                 snapshot.before = Some(before);
             }
-            Err(e) => {
-                eprintln!("warning: cannot read --before {}: {e}", path.display());
-            }
+            Err(e) => eprintln!("warning: --before: {e}"),
         }
     }
 

@@ -19,7 +19,7 @@
 
 use comet_sim::{LoopMode, MechanismKind, RunResult, Runner, RunnerError, SimConfig};
 use comet_trace::AttackKind;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Seed every basket cell runs with (the runner's default experiment seed).
@@ -272,7 +272,7 @@ pub fn stats_checksum(result: &RunResult) -> u64 {
 }
 
 /// Timing and checksum of one executed basket cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellResult {
     /// Stable cell label.
     pub label: String,
@@ -293,7 +293,7 @@ pub struct CellResult {
 }
 
 /// Aggregate result of one basket execution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BasketResult {
     /// `smoke` or `full`.
     pub scope: String,

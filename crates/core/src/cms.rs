@@ -5,7 +5,7 @@
 //! fixed-size buffer ([`MAX_FUNCTIONS`] entries) instead of a heap `Vec`.
 
 use crate::hash::{HashFamily, MAX_FUNCTIONS};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A Count-Min Sketch: a `k × m` array of counters indexed by `k` hash
 /// functions, one per counter row (§2.3 of the CoMeT paper).
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// for _ in 0..10 { cms.increment(1234, 1); }
 /// assert!(cms.estimate(1234) >= 10);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CountMinSketch {
     hashes: HashFamily,
     /// Counters laid out row-major: `counters[row * columns + column]`.

@@ -1,7 +1,7 @@
 //! CoMeT configuration and threshold math (Equation 1 of the paper).
 
 use comet_dram::{Cycle, TimingParams};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Complete configuration of the CoMeT mechanism.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// early-preventive-refresh threshold, and a counter reset period of
 /// `tREFW / 3` which by Equation 1 puts the preventive refresh threshold at
 /// `NPR = NRH / 4`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CometConfig {
     /// RowHammer threshold the mechanism must defend against.
     pub nrh: u64,

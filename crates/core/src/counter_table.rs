@@ -1,7 +1,7 @@
 //! The Counter Table (CT): CoMeT's hash-based activation counters for one bank.
 
 use crate::cms::CountMinSketch;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Counter Table tracks the activation count of every row of one DRAM bank
 /// using a Count-Min Sketch with conservative updates whose counters saturate
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Counters are *never* decremented or selectively reset — doing so could
 /// underestimate another row that shares a counter. They are only cleared all
 /// at once, at periodic counter resets or after an early preventive refresh.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CounterTable {
     sketch: CountMinSketch,
     npr: u32,

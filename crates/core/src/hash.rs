@@ -8,11 +8,11 @@
 //! of the others and uniform over its output range, which is what the
 //! Count-Min-Sketch error bound assumes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A family of `k` hardware-friendly hash functions mapping row ids to
 /// `[0, columns)` where `columns` is a power of two.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HashFamily {
     columns: usize,
     functions: usize,

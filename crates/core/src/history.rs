@@ -1,6 +1,6 @@
 //! The RAT miss history vector driving early preventive refreshes (§4.2).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sliding window over the most recent RAT misses, classifying each as a
 /// *capacity miss* (an evicted aggressor row came back) or a *compulsory miss*
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// The window is a fixed bitset ring (one bit per miss, exactly the hardware
 /// shift register the paper describes) instead of a `VecDeque<bool>`: no
 /// byte-per-bool, no deque bookkeeping on the activation path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RatMissHistory {
     words: Vec<u64>,
     /// Ring position of the oldest recorded bit.

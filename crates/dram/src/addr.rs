@@ -12,7 +12,7 @@ pub type PhysAddr = u64;
 pub type GlobalRowId = u64;
 
 /// A fully decoded DRAM address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct DramAddr {
     /// Channel index.
     pub channel: usize,

@@ -3,10 +3,10 @@
 use crate::command::CommandKind;
 use crate::error::DramError;
 use crate::timing::{Cycle, TimingParams};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The row-buffer state of a DRAM bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BankState {
     /// No row is open; the bank is precharged.
     Closed,
@@ -19,7 +19,7 @@ pub enum BankState {
 
 /// A single DRAM bank: row-buffer state plus the per-bank timing history needed
 /// to decide when the next command may be issued.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Bank {
     state: BankState,
     /// Cycle of the most recent ACT (u64::MAX/2-biased sentinel avoided by Option).

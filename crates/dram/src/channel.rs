@@ -7,10 +7,10 @@ use crate::energy::EnergyCounters;
 use crate::error::DramError;
 use crate::rank::Rank;
 use crate::timing::Cycle;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Aggregate command statistics for a channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ChannelStats {
     /// ACT commands issued.
     pub acts: u64,
@@ -46,7 +46,7 @@ impl ChannelStats {
 ///
 /// The channel owns its ranks and enforces the channel-wide data bus constraint
 /// (only one burst can occupy the data bus at a time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DramChannel {
     config: DramConfig,
     ranks: Vec<Rank>,

@@ -1,13 +1,13 @@
 //! DRAM command vocabulary.
 
 use crate::addr::DramAddr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The DRAM commands the memory controller can issue.
 ///
 /// This is the DDR4 subset that matters for RowHammer mitigation studies:
 /// row activation / precharge, column reads / writes, and all-bank refresh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CommandKind {
     /// Activate (open) a row: loads the row into the bank's row buffer.
     Act,
@@ -60,7 +60,7 @@ impl CommandKind {
 }
 
 /// A command bound to a target address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Command {
     /// What to do.
     pub kind: CommandKind,

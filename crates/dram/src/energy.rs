@@ -12,7 +12,7 @@ use crate::timing::TimingParams;
 use serde::{Deserialize, Serialize};
 
 /// Raw command/event counters used to compute energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct EnergyCounters {
     /// ACT commands issued.
     pub acts: u64,
@@ -58,7 +58,7 @@ impl EnergyCounters {
 }
 
 /// Energy attributed to each component, in nanojoules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct EnergyBreakdown {
     /// Row activation + precharge energy.
     pub act_pre_nj: f64,

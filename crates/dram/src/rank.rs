@@ -5,11 +5,11 @@ use crate::command::CommandKind;
 use crate::error::DramError;
 use crate::geometry::DramGeometry;
 use crate::timing::{Cycle, TimingParams};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// A DRAM rank: a set of banks that share rank-level timing constraints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Rank {
     banks: Vec<Bank>,
     banks_per_bank_group: usize,

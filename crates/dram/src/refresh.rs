@@ -1,7 +1,7 @@
 //! Periodic-refresh bookkeeping (`tREFI` / `tREFW`).
 
 use crate::timing::{Cycle, TimingParams};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tracks when each rank owes a periodic refresh command.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// arrives. JEDEC allows postponing up to 8 refresh commands; the scheduler in
 /// `comet-sim` uses a simpler "issue when due, force when 8 behind" policy that
 /// this type supports via [`pending`](Self::pending).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RefreshScheduler {
     t_refi: Cycle,
     /// Next refresh deadline per rank.

@@ -10,7 +10,7 @@
 use crate::addr::{DramAddr, GlobalRowId};
 use crate::geometry::DramGeometry;
 use crate::timing::Cycle;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Converts row open time into equivalent extra activations.
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 /// A row kept open for `t_on` beyond the minimum (`t_ras`) is charged
 /// `ceil((t_on - t_ras) / equivalence_cycles)` additional activations,
 /// following the adaptation strategy described by the RowPress work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RowPressPolicy {
     /// Minimum open time not charged (typically `t_ras`).
     pub free_cycles: Cycle,

@@ -5,7 +5,7 @@ use crate::hashers::IntMap;
 use crate::stats::MitigationStats;
 use crate::traits::{MitigationResponse, RowHammerMitigation};
 use comet_dram::{Cycle, DramAddr, DramGeometry, TimingParams};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A counting Bloom filter: `hashes` hash functions index a single shared
 /// array of `counters` saturating counters.
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// a whole channel's filters cache-resident on the simulation hot path.
 /// Counts saturate at `u32::MAX`, unreachable between epoch clears for any
 /// physically meaningful activation stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CountingBloomFilter {
     counters: Vec<u32>,
     hashes: usize,

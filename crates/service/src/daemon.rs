@@ -47,7 +47,8 @@ use crate::fleet::{Fleet, PullOutcome};
 use crate::protocol::{self, LineConn, LineEvent, Op, Request};
 use crate::queue::{JobQueue, PopWait, Push};
 use crate::service::ExperimentService;
-use crate::store;
+use comet_sim::RunResult;
+use serde::Deserialize;
 use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -272,8 +273,8 @@ impl Daemon {
                     // An undecodable projection is reported as a failure so
                     // the service re-runs the cell locally — the cache must
                     // never absorb a result the coordinator cannot read.
-                    Ok(value) => store::run_result_from_value(value)
-                        .ok_or_else(|| "undecodable result projection".to_string()),
+                    Ok(value) => RunResult::from_value(value)
+                        .map_err(|error| format!("undecodable result projection: {error}")),
                     Err(message) => Err(message.clone()),
                 };
                 protocol::complete_response(id, fleet.complete(*worker, *key, outcome))
@@ -600,10 +601,14 @@ mod tests {
 
     #[test]
     fn malformed_lines_get_error_responses_and_do_not_kill_the_session() {
-        let lines = session("garbage\n{\"op\":\"ping\",\"id\":9}\n");
-        assert_eq!(lines.len(), 2);
+        // A line nested far past the parser's depth limit is refused with a
+        // typed error instead of overflowing the connection thread's stack.
+        let deep = format!("{{\"op\":\"run\",\"id\":1,\"targets\":{}", "[".repeat(100_000));
+        let lines = session(&format!("garbage\n{deep}\n{{\"op\":\"ping\",\"id\":9}}\n"));
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"ok\":false"));
-        assert!(lines[1].contains("\"pong\":true"));
+        assert!(lines[1].contains("nesting deeper than 128 levels"), "{}", lines[1]);
+        assert!(lines[2].contains("\"pong\":true"));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! on (`Overloaded`, `ShuttingDown`) carry machine-readable flags on the
 //! wire; see [`crate::protocol::error_response`].
 
-use crate::json::JsonError;
 use comet_sim::RunnerError;
 
 /// A typed, protocol-surfaceable service failure.
@@ -17,8 +16,9 @@ pub enum ServiceError {
     /// A simulation/harness error from the runner (includes
     /// [`RunnerError::WorkerPanic`] after bounded retries are exhausted).
     Runner(RunnerError),
-    /// A request or segment line failed to parse as JSON.
-    Json(JsonError),
+    /// A request, segment line or job payload failed to parse as JSON or
+    /// to decode into the type it carries.
+    Json(serde_json::Error),
     /// The request parsed as JSON but violated the protocol (missing or
     /// mistyped fields, unknown op/target/scope).
     Protocol(String),
@@ -89,8 +89,8 @@ impl From<RunnerError> for ServiceError {
     }
 }
 
-impl From<JsonError> for ServiceError {
-    fn from(error: JsonError) -> Self {
+impl From<serde_json::Error> for ServiceError {
+    fn from(error: serde_json::Error) -> Self {
         ServiceError::Json(error)
     }
 }

@@ -1,236 +1,32 @@
-//! Minimal JSON parser producing the offline `serde` crate's [`Value`] tree.
-//!
-//! The offline `serde_json` stand-in only *serializes*; the service needs to
-//! read JSON back in two places — the on-disk result segments and the wire
-//! protocol — so this module implements the inverse: a strict recursive
-//! descent parser over the exact JSON subset the workspace emits (finite
-//! numbers, `\uXXXX`-escaped strings, arrays, string-keyed objects).
+//! JSON helpers over the offline `serde` crate's [`Value`] tree: one-line
+//! wrappers over `serde_json::from_str` and [`Value`]'s accessors, which the
+//! line protocol, the worker, the CLI client and the tests use to read
+//! response lines. Typed values decode through derived `serde::Deserialize`
+//! impls instead.
 
 use serde::Value;
 
-/// A parse failure: byte offset plus a short description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset the parser failed at.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
+/// Parses one complete JSON document with `serde_json::from_str`. The
+/// repository benchmark (`repobench/`) calls this; ROADMAP item 4(b) removes it.
+pub fn parse(text: &str) -> Result<Value, serde_json::Error> {
+    serde_json::from_str(text)
 }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one complete JSON document; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut pos = 0;
-    let value = parse_value(text, &mut pos)?;
-    skip_ws(text.as_bytes(), &mut pos);
-    if pos != text.len() {
-        return Err(err(pos, "trailing characters after JSON document"));
-    }
-    Ok(value)
-}
-
-fn err(offset: usize, message: impl Into<String>) -> JsonError {
-    JsonError { offset, message: message.into() }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(*pos, format!("expected '{}'", byte as char)))
-    }
-}
-
-fn parse_value(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(text, pos),
-        Some(b'[') => parse_array(text, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(*pos, format!("expected '{word}'")))
-    }
-}
-
-fn parse_object(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
-    expect(bytes, pos, b'{')?;
-    let mut entries = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Map(entries));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(text, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(text, pos)?;
-        entries.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Map(entries));
-            }
-            _ => return Err(err(*pos, "expected ',' or '}' in object")),
-        }
-    }
-}
-
-fn parse_array(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Seq(items));
-    }
-    loop {
-        items.push(parse_value(text, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Seq(items));
-            }
-            _ => return Err(err(*pos, "expected ',' or ']' in array")),
-        }
-    }
-}
-
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
-    let bytes = text.as_bytes();
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'u') => {
-                        let hex =
-                            bytes.get(*pos + 1..*pos + 5).ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // The workspace never emits surrogate pairs (it only
-                        // escapes control characters); reject them rather than
-                        // silently mis-decoding.
-                        let c = char::from_u32(code).ok_or_else(|| err(*pos, "invalid \\u code point"))?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "unknown escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // `pos` always sits on a char boundary: structural JSON bytes
-                // are ASCII, and this arm advances by whole scalars.
-                let c = text[*pos..].chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number");
-    if text.is_empty() || text == "-" {
-        return Err(err(start, "invalid number"));
-    }
-    if is_float {
-        text.parse::<f64>().map(Value::Float).map_err(|_| err(start, "invalid float"))
-    } else if text.starts_with('-') {
-        text.parse::<i64>().map(Value::Int).map_err(|_| err(start, "integer out of range"))
-    } else {
-        text.parse::<u64>().map(Value::UInt).map_err(|_| err(start, "integer out of range"))
-    }
-}
-
-/// Looks `key` up in an object [`Value`].
+/// Looks `key` up in an object [`Value`]. The repository benchmark
+/// (`repobench/`) calls this; ROADMAP item 4(b) removes it.
 pub fn get<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
+    value.get(key)
 }
 
-/// The string content of a [`Value::Str`].
+/// The string content of a [`Value::Str`]. The repository benchmark
+/// (`repobench/`) calls this; ROADMAP item 4(b) removes it.
 pub fn as_str(value: &Value) -> Option<&str> {
-    match value {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
+    value.as_str()
 }
 
 /// Numeric coercion to `u64` (accepts `UInt` and non-negative `Int`).
 pub fn as_u64(value: &Value) -> Option<u64> {
-    match value {
-        Value::UInt(n) => Some(*n),
-        Value::Int(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
+    value.as_u64()
 }
 
 /// Numeric coercion to `i64`.
@@ -244,66 +40,17 @@ pub fn as_i64(value: &Value) -> Option<i64> {
 
 /// Numeric coercion to `f64` (accepts every numeric variant).
 pub fn as_f64(value: &Value) -> Option<f64> {
-    match value {
-        Value::Float(x) => Some(*x),
-        Value::UInt(n) => Some(*n as f64),
-        Value::Int(n) => Some(*n as f64),
-        _ => None,
-    }
+    value.as_f64()
 }
 
 /// The items of a [`Value::Seq`].
 pub fn as_seq(value: &Value) -> Option<&[Value]> {
-    match value {
-        Value::Seq(items) => Some(items),
-        _ => None,
-    }
+    value.as_seq()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trips_what_the_workspace_serializer_emits() {
-        let original = Value::Map(vec![
-            ("label".to_string(), Value::Str("a\"b\\c\nd".to_string())),
-            ("count".to_string(), Value::UInt(42)),
-            ("delta".to_string(), Value::Int(-7)),
-            ("ratio".to_string(), Value::Float(2.5)),
-            ("whole".to_string(), Value::Float(3.0)),
-            ("flag".to_string(), Value::Bool(true)),
-            ("nothing".to_string(), Value::Null),
-            ("items".to_string(), Value::Seq(vec![Value::UInt(1), Value::Str("x".to_string())])),
-            ("empty_map".to_string(), Value::Map(vec![])),
-            ("empty_seq".to_string(), Value::Seq(vec![])),
-        ]);
-        struct W(Value);
-        impl serde::Serialize for W {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        for text in [
-            serde_json::to_string(&W(original.clone())).unwrap(),
-            serde_json::to_string_pretty(&W(original.clone())).unwrap(),
-        ] {
-            assert_eq!(parse(&text).unwrap(), original, "{text}");
-        }
-    }
-
-    #[test]
-    fn parses_unicode_escapes_and_raw_utf8() {
-        assert_eq!(parse(r#""Aé""#).unwrap(), Value::Str("Aé".to_string()));
-        assert_eq!(parse("\"héllo\"").unwrap(), Value::Str("héllo".to_string()));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated", "{} extra"] {
-            assert!(parse(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
 
     #[test]
     fn accessors_navigate_objects() {

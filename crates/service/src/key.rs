@@ -74,13 +74,7 @@ pub fn canonical_cell_form(runner: &Runner, cell: &CellSpec) -> String {
         ("loop".to_string(), Value::Str(runner.loop_mode().name().to_string())),
         ("cell".to_string(), cell.to_value()),
     ]);
-    struct W(Value);
-    impl Serialize for W {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&W(value)).expect("value-tree serialization cannot fail")
+    serde_json::to_string(&value).expect("value-tree serialization cannot fail")
 }
 
 /// The content-addressed key of one cell under one runner identity.

@@ -57,7 +57,7 @@ use crate::key::{CellKey, KEY_SCHEMA};
 use crate::service::{ExperimentService, ServiceStats};
 use crate::targets;
 use comet_sim::experiments::ExperimentScope;
-use serde::{Serialize, Value};
+use serde::Value;
 use std::io::Read;
 use std::time::Instant;
 
@@ -337,12 +337,6 @@ fn stats_json(stats: &ServiceStats) -> String {
 /// A typed error response line. Retryable and terminal conditions carry
 /// machine-readable flags so clients don't have to parse the message text.
 pub fn error_response(id: u64, error: &ServiceError) -> String {
-    struct W(serde::Value);
-    impl Serialize for W {
-        fn to_value(&self) -> serde::Value {
-            self.0.clone()
-        }
-    }
     let mut fields = vec![
         ("id".to_string(), serde::Value::UInt(id)),
         ("ok".to_string(), serde::Value::Bool(false)),
@@ -360,20 +354,13 @@ pub fn error_response(id: u64, error: &ServiceError) -> String {
         }
         _ => {}
     }
-    serde_json::to_string(&W(serde::Value::Map(fields))).expect("value-tree serialization cannot fail")
+    serde_json::to_string(&serde::Value::Map(fields)).expect("value-tree serialization cannot fail")
 }
 
 /// Response to a `metrics` request: the full Prometheus text exposition,
 /// JSON-quoted under `"exposition"`.
 pub fn metrics_response(id: u64, exposition: &str) -> String {
-    struct W(serde::Value);
-    impl Serialize for W {
-        fn to_value(&self) -> serde::Value {
-            self.0.clone()
-        }
-    }
-    let quoted = serde_json::to_string(&W(serde::Value::Str(exposition.to_string())))
-        .expect("value-tree serialization cannot fail");
+    let quoted = serde_json::to_string(exposition).expect("value-tree serialization cannot fail");
     format!("{{\"id\":{id},\"ok\":true,\"exposition\":{quoted}}}")
 }
 

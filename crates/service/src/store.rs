@@ -17,17 +17,17 @@
 //! only the entries before the corruption point are loaded. Recovery never
 //! aborts a service start.
 //!
-//! Reading back reconstructs [`RunResult`] field by field from the parsed
-//! value tree. The two `#[serde(skip)]` fields (`energy_breakdown`,
-//! `controller`) are not serialized and come back as defaults; every
-//! experiment assembly works off the serialized fields only, so cached and
-//! fresh results are interchangeable where the service hands them out.
+//! Reading back parses each line with `serde_json::from_str` and decodes
+//! the result through `RunResult`'s derived `Deserialize`. The three
+//! `#[serde(skip)]` fields (`energy_breakdown`, `controller`, `engine`) are
+//! not serialized and come back as defaults; every experiment assembly works
+//! off the serialized fields only, so cached and fresh results are
+//! interchangeable where the service hands them out.
 
 use crate::faults::{AppendFault, FaultPlan};
-use crate::json;
 use crate::key::CellKey;
 use comet_sim::RunResult;
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -314,57 +314,19 @@ impl Iterator for StoreReader {
 }
 
 fn parse_entry(line: &str) -> Option<(CellKey, RunResult)> {
-    let value = json::parse(line).ok()?;
-    let key = CellKey::from_hex(json::as_str(json::get(&value, "key")?)?)?;
-    let result = run_result_from_value(json::get(&value, "result")?)?;
+    let value = serde_json::from_str(line).ok()?;
+    let key = CellKey::from_hex(value.get("key")?.as_str()?)?;
+    let result = RunResult::from_value(value.get("result")?).ok()?;
     Some((key, result))
 }
 
-/// Reconstructs a [`RunResult`] from its serialized value tree. Returns
-/// `None` if any serialized field is missing or mistyped (the entry is then
-/// treated as corrupt and skipped). Skipped-at-serialization fields come back
-/// as their defaults.
+/// Decodes a [`RunResult`] from its serialized value tree, `None` if it does
+/// not decode (the entry is then treated as corrupt and skipped).
+///
+/// The repository benchmark (`repobench/`) calls this. ROADMAP item 4(b)
+/// moves it to `RunResult::from_value` and removes this wrapper.
 pub fn run_result_from_value(value: &Value) -> Option<RunResult> {
-    let field = |name: &str| json::get(value, name);
-    let mitigation_value = field("mitigation")?;
-    let mitigation = comet_mitigation_stats_from_value(mitigation_value)?;
-    Some(RunResult {
-        label: json::as_str(field("label")?)?.to_string(),
-        mechanism: json::as_str(field("mechanism")?)?.to_string(),
-        cores: json::as_u64(field("cores")?)? as usize,
-        dram_cycles: json::as_u64(field("dram_cycles")?)?,
-        cpu_cycles: json::as_f64(field("cpu_cycles")?)?,
-        instructions: json::as_u64(field("instructions")?)?,
-        per_core_ipc: json::as_seq(field("per_core_ipc")?)?
-            .iter()
-            .map(json::as_f64)
-            .collect::<Option<_>>()?,
-        ipc: json::as_f64(field("ipc")?)?,
-        reads: json::as_u64(field("reads")?)?,
-        writes: json::as_u64(field("writes")?)?,
-        activations: json::as_u64(field("activations")?)?,
-        avg_read_latency_ns: json::as_f64(field("avg_read_latency_ns")?)?,
-        energy_nj: json::as_f64(field("energy_nj")?)?,
-        energy_breakdown: Default::default(),
-        controller: Default::default(),
-        engine: Default::default(),
-        mitigation,
-    })
-}
-
-fn comet_mitigation_stats_from_value(value: &Value) -> Option<comet_mitigations::MitigationStats> {
-    let get = |name: &str| json::get(value, name).and_then(json::as_u64);
-    Some(comet_mitigations::MitigationStats {
-        activations_observed: get("activations_observed")?,
-        preventive_refreshes: get("preventive_refreshes")?,
-        aggressors_identified: get("aggressors_identified")?,
-        early_rank_refreshes: get("early_rank_refreshes")?,
-        counter_reads: get("counter_reads")?,
-        counter_writes: get("counter_writes")?,
-        throttled_activations: get("throttled_activations")?,
-        throttle_cycles: get("throttle_cycles")?,
-        periodic_resets: get("periodic_resets")?,
-    })
+    RunResult::from_value(value).ok()
 }
 
 /// Serializes `result` the same way the store does — the canonical
@@ -388,7 +350,7 @@ mod tests {
     fn round_trips_a_real_run_result_bit_exactly() {
         let result = sample_result();
         let json_text = result_projection(&result);
-        let parsed = json::parse(&json_text).unwrap();
+        let parsed = serde_json::from_str(&json_text).unwrap();
         let rebuilt = run_result_from_value(&parsed).expect("reconstruction succeeds");
         assert_eq!(result_projection(&rebuilt), json_text, "projection must round-trip bit-exactly");
     }

@@ -3,9 +3,10 @@
 //! The coordinator dispatches a cell as its [`canonical_cell_form`] — the
 //! exact `{schema, config, seed, loop, cell}` JSON the cache key is hashed
 //! from — so the job payload *is* the cell's identity: nothing can ride
-//! along uncovered by the key. The vendored serde stand-in serializes but
-//! does not deserialize, so this module hand-decodes the value tree back
-//! into [`SimConfig`], seed, [`LoopMode`], and [`CellSpec`].
+//! along uncovered by the key. [`decode_job`] reads it back through the
+//! derived `Deserialize` impls of [`SimConfig`](comet_sim::SimConfig) and
+//! [`CellSpec`]; only the loop mode, which the form spells with
+//! [`LoopMode::name`], is matched by hand.
 //!
 //! Losslessness is enforced, not assumed: [`decode_job`] re-encodes the
 //! reconstructed runner identity through [`canonical_cell_form`] and demands
@@ -16,14 +17,10 @@
 //! poisoning the coordinator's content-addressed cache.
 
 use crate::error::ServiceError;
-use crate::json;
 use crate::key::{canonical_cell_form, KEY_SCHEMA};
-use comet_dram::{Cycle, DramConfig, DramGeometry, EnergyModel, TimingParams};
 use comet_sim::experiments::CellSpec;
-use comet_sim::experiments::WorkloadSpec;
-use comet_sim::{AddressScheme, ControllerConfig, CoreConfig, LoopMode, MechanismKind, Runner, SimConfig};
-use comet_trace::AttackKind;
-use serde::Value;
+use comet_sim::{LoopMode, Runner};
+use serde::{Deserialize, Value};
 
 /// A decoded job: everything needed to run one cell bit-exactly.
 #[derive(Debug, Clone)]
@@ -38,238 +35,30 @@ fn protocol(message: impl Into<String>) -> ServiceError {
     ServiceError::Protocol(message.into())
 }
 
-fn field<'a>(value: &'a Value, name: &str) -> Result<&'a Value, ServiceError> {
-    json::get(value, name).ok_or_else(|| protocol(format!("job payload missing field {name:?}")))
-}
-
-fn u64_field(value: &Value, name: &str) -> Result<u64, ServiceError> {
-    json::as_u64(field(value, name)?).ok_or_else(|| protocol(format!("field {name:?} must be an integer")))
-}
-
-fn usize_field(value: &Value, name: &str) -> Result<usize, ServiceError> {
-    Ok(u64_field(value, name)? as usize)
-}
-
-fn u32_field(value: &Value, name: &str) -> Result<u32, ServiceError> {
-    Ok(u64_field(value, name)? as u32)
-}
-
-fn cycle_field(value: &Value, name: &str) -> Result<Cycle, ServiceError> {
-    u64_field(value, name)
-}
-
-fn f64_field(value: &Value, name: &str) -> Result<f64, ServiceError> {
-    json::as_f64(field(value, name)?).ok_or_else(|| protocol(format!("field {name:?} must be a number")))
-}
-
-fn str_field<'a>(value: &'a Value, name: &str) -> Result<&'a str, ServiceError> {
-    json::as_str(field(value, name)?).ok_or_else(|| protocol(format!("field {name:?} must be a string")))
-}
-
-/// An enum encoded by the vendored serde: a bare string for unit variants,
-/// a one-entry map for data-carrying variants.
-fn variant(value: &Value) -> Result<(&str, Option<&Value>), ServiceError> {
-    match value {
-        Value::Str(name) => Ok((name, None)),
-        Value::Map(entries) if entries.len() == 1 => Ok((&entries[0].0, Some(&entries[0].1))),
-        _ => Err(protocol("enum values must be a string or a one-entry object")),
-    }
-}
-
-fn decode_geometry(value: &Value) -> Result<DramGeometry, ServiceError> {
-    Ok(DramGeometry {
-        channels: usize_field(value, "channels")?,
-        ranks_per_channel: usize_field(value, "ranks_per_channel")?,
-        bank_groups_per_rank: usize_field(value, "bank_groups_per_rank")?,
-        banks_per_bank_group: usize_field(value, "banks_per_bank_group")?,
-        rows_per_bank: usize_field(value, "rows_per_bank")?,
-        columns_per_row: usize_field(value, "columns_per_row")?,
-        bytes_per_column: usize_field(value, "bytes_per_column")?,
-        devices_per_rank: usize_field(value, "devices_per_rank")?,
-    })
-}
-
-fn decode_timing(value: &Value) -> Result<TimingParams, ServiceError> {
-    Ok(TimingParams {
-        t_ck_ns: f64_field(value, "t_ck_ns")?,
-        t_rcd: cycle_field(value, "t_rcd")?,
-        t_rp: cycle_field(value, "t_rp")?,
-        t_ras: cycle_field(value, "t_ras")?,
-        t_rc: cycle_field(value, "t_rc")?,
-        t_rrd_l: cycle_field(value, "t_rrd_l")?,
-        t_rrd_s: cycle_field(value, "t_rrd_s")?,
-        t_faw: cycle_field(value, "t_faw")?,
-        cl: cycle_field(value, "cl")?,
-        cwl: cycle_field(value, "cwl")?,
-        burst_cycles: cycle_field(value, "burst_cycles")?,
-        t_ccd_l: cycle_field(value, "t_ccd_l")?,
-        t_ccd_s: cycle_field(value, "t_ccd_s")?,
-        t_wr: cycle_field(value, "t_wr")?,
-        t_wtr: cycle_field(value, "t_wtr")?,
-        t_rtp: cycle_field(value, "t_rtp")?,
-        t_rfc: cycle_field(value, "t_rfc")?,
-        t_refi: cycle_field(value, "t_refi")?,
-        t_refw: cycle_field(value, "t_refw")?,
-    })
-}
-
-fn decode_energy(value: &Value) -> Result<EnergyModel, ServiceError> {
-    Ok(EnergyModel {
-        vdd: f64_field(value, "vdd")?,
-        idd0_ma: f64_field(value, "idd0_ma")?,
-        idd2n_ma: f64_field(value, "idd2n_ma")?,
-        idd3n_ma: f64_field(value, "idd3n_ma")?,
-        idd4r_ma: f64_field(value, "idd4r_ma")?,
-        idd4w_ma: f64_field(value, "idd4w_ma")?,
-        idd5b_ma: f64_field(value, "idd5b_ma")?,
-        devices_per_rank: usize_field(value, "devices_per_rank")?,
-    })
-}
-
-fn decode_controller(value: &Value) -> Result<ControllerConfig, ServiceError> {
-    Ok(ControllerConfig {
-        read_queue_size: usize_field(value, "read_queue_size")?,
-        write_queue_size: usize_field(value, "write_queue_size")?,
-        column_cap: u32_field(value, "column_cap")?,
-        write_drain_high: usize_field(value, "write_drain_high")?,
-        write_drain_low: usize_field(value, "write_drain_low")?,
-        counter_access_cycles: cycle_field(value, "counter_access_cycles")?,
-    })
-}
-
-fn decode_scheme(value: &Value) -> Result<AddressScheme, ServiceError> {
-    match variant(value)? {
-        ("RoRaBgBaCoCh", None) => Ok(AddressScheme::RoRaBgBaCoCh),
-        ("RoCoRaBgBaCh", None) => Ok(AddressScheme::RoCoRaBgBaCh),
-        ("RoRaBgBaCoChXor", None) => Ok(AddressScheme::RoRaBgBaCoChXor),
-        ("RoRaBgBaChCo", None) => Ok(AddressScheme::RoRaBgBaChCo),
-        (other, _) => Err(protocol(format!("unknown address scheme {other:?}"))),
-    }
-}
-
-fn decode_core(value: &Value) -> Result<CoreConfig, ServiceError> {
-    Ok(CoreConfig {
-        freq_ghz: f64_field(value, "freq_ghz")?,
-        retire_width: u32_field(value, "retire_width")?,
-        window_size: u64_field(value, "window_size")?,
-        scheme: decode_scheme(field(value, "scheme")?)?,
-    })
-}
-
-fn decode_sim_config(value: &Value) -> Result<SimConfig, ServiceError> {
-    let dram = field(value, "dram")?;
-    Ok(SimConfig {
-        dram: DramConfig {
-            geometry: decode_geometry(field(dram, "geometry")?)?,
-            timing: decode_timing(field(dram, "timing")?)?,
-            energy: decode_energy(field(dram, "energy")?)?,
-        },
-        controller: decode_controller(field(value, "controller")?)?,
-        core: decode_core(field(value, "core")?)?,
-        warmup_cycles: cycle_field(value, "warmup_cycles")?,
-        sim_cycles: cycle_field(value, "sim_cycles")?,
-    })
-}
-
-fn decode_mechanism(value: &Value) -> Result<MechanismKind, ServiceError> {
-    match variant(value)? {
-        ("Baseline", None) => Ok(MechanismKind::Baseline),
-        ("Comet", None) => Ok(MechanismKind::Comet),
-        ("Graphene", None) => Ok(MechanismKind::Graphene),
-        ("Hydra", None) => Ok(MechanismKind::Hydra),
-        ("Rega", None) => Ok(MechanismKind::Rega),
-        ("Para", None) => Ok(MechanismKind::Para),
-        ("BlockHammer", None) => Ok(MechanismKind::BlockHammer),
-        ("PerRow", None) => Ok(MechanismKind::PerRow),
-        ("CometCustom", Some(fields)) => Ok(MechanismKind::CometCustom {
-            n_hash: usize_field(fields, "n_hash")?,
-            n_counters: usize_field(fields, "n_counters")?,
-            rat_entries: usize_field(fields, "rat_entries")?,
-            reset_divisor: u64_field(fields, "reset_divisor")?,
-            history_length: usize_field(fields, "history_length")?,
-            eprt_percent: u32_field(fields, "eprt_percent")?,
-        }),
-        (other, _) => Err(protocol(format!("unknown mechanism {other:?}"))),
-    }
-}
-
-fn decode_attack(value: &Value) -> Result<AttackKind, ServiceError> {
-    match variant(value)? {
-        ("Traditional", Some(fields)) => {
-            Ok(AttackKind::Traditional { rows_per_bank: usize_field(fields, "rows_per_bank")? })
-        }
-        ("CometTargeted", Some(fields)) => {
-            Ok(AttackKind::CometTargeted { rows_per_bank: usize_field(fields, "rows_per_bank")? })
-        }
-        ("HydraTargeted", Some(fields)) => Ok(AttackKind::HydraTargeted {
-            groups_per_bank: usize_field(fields, "groups_per_bank")?,
-            rows_per_group: usize_field(fields, "rows_per_group")?,
-        }),
-        (other, _) => Err(protocol(format!("unknown attack kind {other:?}"))),
-    }
-}
-
-fn decode_workload(value: &Value) -> Result<WorkloadSpec, ServiceError> {
-    match variant(value)? {
-        ("Single", Some(fields)) => {
-            Ok(WorkloadSpec::Single { workload: str_field(fields, "workload")?.to_string() })
-        }
-        ("Homogeneous", Some(fields)) => Ok(WorkloadSpec::Homogeneous {
-            workload: str_field(fields, "workload")?.to_string(),
-            cores: usize_field(fields, "cores")?,
-        }),
-        ("Attacked", Some(fields)) => Ok(WorkloadSpec::Attacked {
-            workload: str_field(fields, "workload")?.to_string(),
-            attack: decode_attack(field(fields, "attack")?)?,
-        }),
-        ("Mix", Some(fields)) => Ok(WorkloadSpec::Mix {
-            name: str_field(fields, "name")?.to_string(),
-            workloads: json::as_seq(field(fields, "workloads")?)
-                .ok_or_else(|| protocol("\"workloads\" must be an array"))?
-                .iter()
-                .map(|item| {
-                    json::as_str(item)
-                        .map(str::to_string)
-                        .ok_or_else(|| protocol("workload names must be strings"))
-                })
-                .collect::<Result<_, _>>()?,
-        }),
-        (other, _) => Err(protocol(format!("unknown workload placement {other:?}"))),
-    }
-}
-
-fn decode_cell(value: &Value) -> Result<CellSpec, ServiceError> {
-    Ok(CellSpec {
-        workload: decode_workload(field(value, "workload")?)?,
-        mechanism: decode_mechanism(field(value, "mechanism")?)?,
-        nrh: u64_field(value, "nrh")?,
-    })
-}
-
-fn decode_loop_mode(name: &str) -> Result<LoopMode, ServiceError> {
-    match name {
-        "event" => Ok(LoopMode::EventDriven),
-        "dense" => Ok(LoopMode::DenseReference),
-        other => Err(protocol(format!("unknown loop mode {other:?}"))),
-    }
+/// Decodes the payload field `name` (a missing field decodes from `null`).
+fn decode<T: Deserialize>(payload: &Value, name: &str) -> Result<T, serde_json::Error> {
+    T::from_value(payload.get(name).unwrap_or(&Value::Null)).map_err(|e| e.in_field(name))
 }
 
 /// Decodes one job payload (the canonical cell form as text) back into a
 /// runnable cell, verifying the schema tag and that the reconstruction
 /// re-encodes to the payload byte-for-byte.
 pub fn decode_job(payload: &str) -> Result<WireJob, ServiceError> {
-    let value = json::parse(payload)?;
-    let schema = str_field(&value, "schema")?;
+    let value = serde_json::from_str(payload)?;
+    let schema = value.get("schema").and_then(Value::as_str).unwrap_or_default();
     if schema != KEY_SCHEMA {
         return Err(protocol(format!(
             "job schema {schema:?} does not match this worker's {KEY_SCHEMA:?}; refusing the cell"
         )));
     }
-    let config = decode_sim_config(field(&value, "config")?)?;
-    let seed = u64_field(&value, "seed")?;
-    let loop_mode = decode_loop_mode(str_field(&value, "loop")?)?;
-    let cell = decode_cell(field(&value, "cell")?)?;
-    let runner = Runner::with_seed(config, seed).with_loop_mode(loop_mode);
+    let loop_mode = match value.get("loop").and_then(Value::as_str) {
+        Some("event") => LoopMode::EventDriven,
+        Some("dense") => LoopMode::DenseReference,
+        other => return Err(protocol(format!("unknown loop mode {other:?}"))),
+    };
+    let runner =
+        Runner::with_seed(decode(&value, "config")?, decode(&value, "seed")?).with_loop_mode(loop_mode);
+    let cell = decode(&value, "cell")?;
     let reencoded = canonical_cell_form(&runner, &cell);
     if reencoded != payload {
         return Err(protocol(
@@ -283,6 +72,8 @@ pub fn decode_job(payload: &str) -> Result<WireJob, ServiceError> {
 mod tests {
     use super::*;
     use comet_sim::experiments::ExperimentScope;
+    use comet_sim::{AddressScheme, MechanismKind, SimConfig};
+    use comet_trace::AttackKind;
 
     #[test]
     fn every_workload_placement_round_trips() {

@@ -32,7 +32,7 @@ use crate::key::{CellKey, KEY_SCHEMA};
 use crate::protocol::{backoff_jitter_ms, LineConn, LineEvent};
 use crate::store;
 use crate::wire;
-use serde::{Serialize, Value};
+use serde::Value;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -108,13 +108,7 @@ enum SessionEnd {
 }
 
 fn json_quote(text: &str) -> String {
-    struct W(Value);
-    impl Serialize for W {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&W(Value::Str(text.to_string()))).expect("value-tree serialization cannot fail")
+    serde_json::to_string(text).expect("value-tree serialization cannot fail")
 }
 
 /// Runs a worker until the coordinator drains, `stop` is raised, the
@@ -409,14 +403,7 @@ fn execute_job(config: &WorkerConfig, job: &Value) -> JobOutcome {
     };
     // Re-serialize the payload subtree; `decode_job`'s byte-equality check
     // against the canonical form catches any drift this could introduce.
-    struct W(Value);
-    impl Serialize for W {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    let payload_text =
-        serde_json::to_string(&W(payload.clone())).expect("value-tree serialization cannot fail");
+    let payload_text = serde_json::to_string(payload).expect("value-tree serialization cannot fail");
     let job = match wire::decode_job(&payload_text) {
         Ok(job) => job,
         Err(error) => return JobOutcome::Ran(Err(format!("undecodable cell: {error}"))),

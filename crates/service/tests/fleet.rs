@@ -18,7 +18,7 @@ use comet_service::{
 };
 use comet_sim::experiments::{CellBackend, CellSpec, ParallelExecutor};
 use comet_sim::{MechanismKind, Runner, RunnerError, SimConfig};
-use serde::{Serialize, Value};
+use serde::Value;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,13 +29,7 @@ fn smoke_cell() -> (Runner, CellSpec) {
 }
 
 fn value_to_string(value: &Value) -> String {
-    struct W(Value);
-    impl Serialize for W {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&W(value.clone())).expect("value-tree serialization cannot fail")
+    serde_json::to_string(value).expect("value-tree serialization cannot fail")
 }
 
 fn wait_until(what: &str, timeout_ms: u64, mut check: impl FnMut() -> bool) {

@@ -75,7 +75,7 @@ use std::collections::VecDeque;
 ///
 /// `Serialize` feeds the experiment service's canonical cell-key encoding:
 /// every field here is part of a cached result's identity.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ControllerConfig {
     /// Read queue capacity.
     pub read_queue_size: usize,

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 ///
 /// `Serialize` feeds the experiment service's canonical cell-key encoding:
 /// every field here is part of a cached result's identity.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CoreConfig {
     /// CPU clock frequency in GHz.
     pub freq_ghz: f64,

@@ -5,10 +5,10 @@ use super::{plan_grid, CellBackend, CellSpec, ExperimentScope, GridView};
 use crate::metrics::{normalized_distribution, DistributionSummary, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use comet_trace::AttackKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Benign-core performance under attack for one mechanism.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdversarialCell {
     /// Mechanism name.
     pub mechanism: String,
@@ -19,7 +19,7 @@ pub struct AdversarialCell {
 }
 
 /// The Figure 16 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdversarialResult {
     /// Part (a): traditional RowHammer attack at NRH = 500.
     pub traditional: Vec<AdversarialCell>,

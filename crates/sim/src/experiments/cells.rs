@@ -17,11 +17,11 @@ use super::ParallelExecutor;
 use crate::metrics::RunResult;
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use comet_trace::AttackKind;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// How a cell places its workload(s) on cores.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WorkloadSpec {
     /// One workload on one core.
     Single {
@@ -58,7 +58,7 @@ pub enum WorkloadSpec {
 /// Equality and hashing cover the full spec; together with a runner identity
 /// (config, seed, loop mode) this is the content-addressed cache key the
 /// experiment service memoizes results under.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CellSpec {
     /// Workload placement.
     pub workload: WorkloadSpec,

@@ -5,10 +5,10 @@
 use super::{baseline_cells, plan_grid, CellBackend, CellSpec, ExperimentScope, GridView};
 use crate::metrics::{normalized_distribution, DistributionSummary, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Distribution of normalized IPC and energy for one mechanism at one threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ComparisonCell {
     /// Mechanism name.
     pub mechanism: String,
@@ -23,7 +23,7 @@ pub struct ComparisonCell {
 }
 
 /// The Figure 12/14 dataset: one cell per (mechanism, threshold).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ComparisonResult {
     /// All cells.
     pub cells: Vec<ComparisonCell>,
@@ -144,7 +144,7 @@ pub fn fig18_blockhammer(
 }
 
 /// One mechanism's position in the Figure 4 radar plot at NRH = 125.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RadarPoint {
     /// Mechanism name.
     pub mechanism: String,

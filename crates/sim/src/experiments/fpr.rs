@@ -5,10 +5,10 @@ use comet_core::CounterTable;
 use comet_mitigations::CountingBloomFilter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of Figure 17: false positive rates at a given number of unique rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FprPoint {
     /// Number of unique rows activated within the refresh window.
     pub unique_rows: usize,

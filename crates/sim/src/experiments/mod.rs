@@ -36,10 +36,10 @@ pub use sweeps::{fig6_ct_sweep, fig7_rat_sweep, fig8_eprt_sweep, fig9_k_sweep, S
 
 use crate::metrics::RunResult;
 use crate::runner::MechanismKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scope of an experiment run: which workloads and how much simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ExperimentScope {
     /// Tiny runs for CI / unit tests (a handful of workloads, sub-millisecond windows).
     Smoke,

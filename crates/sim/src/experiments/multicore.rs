@@ -3,10 +3,10 @@
 use super::{homogeneous_baseline_cells, plan_grid, CellBackend, CellSpec, ExperimentScope, GridView};
 use crate::metrics::{normalized_distribution, DistributionSummary, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Distribution of normalized weighted speedup / energy for one mechanism at one threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MulticoreCell {
     /// Mechanism name.
     pub mechanism: String,
@@ -19,7 +19,7 @@ pub struct MulticoreCell {
 }
 
 /// The Figure 13/15 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MulticoreResult {
     /// Names of the mixes evaluated.
     pub mixes: Vec<String>,
@@ -142,7 +142,7 @@ pub fn fig13_fig15_multicore(
 
 /// Weighted speedup of one heterogeneous mix under one mechanism, with true
 /// alone-IPC normalization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MixedMixCell {
     /// Mix name (`mixMH00`, ...).
     pub mix: String,
@@ -160,7 +160,7 @@ pub struct MixedMixCell {
 }
 
 /// The mixed medium/high-intensity multicore dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MixedMulticoreResult {
     /// One cell per (mix × mechanism × threshold), baseline included.
     pub cells: Vec<MixedMixCell>,

@@ -16,10 +16,10 @@ use super::{baseline_cells, plan_grid, preventive_per_kilo_act, CellBackend, Cel
 use super::{GridView, ParallelExecutor};
 use crate::metrics::{geometric_mean, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One (rank count, threshold) summary row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RankPoint {
     /// Ranks per channel.
     pub ranks: usize,
@@ -40,7 +40,7 @@ pub struct RankPoint {
 }
 
 /// The rank sweep dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RankSweepResult {
     /// Mechanism evaluated.
     pub mechanism: String,

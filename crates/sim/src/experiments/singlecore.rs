@@ -7,10 +7,10 @@ use super::{
 };
 use crate::metrics::{geometric_mean, normalized_distribution, DistributionSummary, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One workload's normalized IPC and energy at one RowHammer threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SingleCorePoint {
     /// Workload name.
     pub workload: String,
@@ -25,7 +25,7 @@ pub struct SingleCorePoint {
 }
 
 /// The full Figure 10/11 dataset plus per-threshold summaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SingleCoreResult {
     /// The mechanism evaluated (CoMeT for Figures 10/11).
     pub mechanism: String,

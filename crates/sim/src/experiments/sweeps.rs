@@ -7,10 +7,10 @@ use super::{
 };
 use crate::metrics::{geometric_mean, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One configuration point of a sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepPoint {
     /// Human-readable configuration label (e.g. `"NHash=4,NCounters=512"`).
     pub configuration: String,

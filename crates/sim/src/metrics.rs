@@ -149,7 +149,7 @@ impl SchedulerPressure {
 
 /// Summary of a distribution of normalized values (one per workload), matching
 /// the way the paper reports box plots and GeoMean bars.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DistributionSummary {
     /// Number of samples.
     pub count: usize,

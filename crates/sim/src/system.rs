@@ -14,7 +14,7 @@ use comet_trace::TraceSource;
 /// every field of this struct (transitively) is part of a cached result's
 /// identity, so adding a field both changes the serialized form and — by
 /// design — invalidates previously cached results.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimConfig {
     /// DRAM device configuration (geometry, timing, energy).
     pub dram: DramConfig,

@@ -4,14 +4,14 @@ use crate::request::{TraceRecord, TraceSource};
 use comet_dram::{AddressMapper, AddressScheme, DramAddr, DramGeometry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// The adversarial access patterns the paper evaluates.
 ///
 /// `Hash` and `Serialize` let attack studies participate in experiment-cell
 /// identity (the experiment service keys its result cache on the full cell,
 /// attack parameters included).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AttackKind {
     /// A traditional many-sided RowHammer attack: repeatedly activate a set of
     /// aggressor rows across all banks as fast as the DRAM protocol allows

@@ -2,7 +2,7 @@
 
 use crate::catalog;
 use crate::profile::WorkloadProfile;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A multi-core workload mix: one profile per core.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// single-core workload running together — which is the configuration
 /// [`homogeneous_mix`] produces. Heterogeneous mixes can be built directly from
 /// profiles when needed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiCoreMix {
     /// Mix name used in reports.
     pub name: String,

@@ -1,9 +1,9 @@
 //! Workload profiles: the statistics a synthetic trace is generated from.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Memory-intensity class used by the paper to group workloads (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum MemoryIntensity {
     /// RBMPKI in `[0, 2)`.
     Low,
@@ -27,7 +27,7 @@ impl MemoryIntensity {
 }
 
 /// The statistical profile a synthetic workload trace is generated from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadProfile {
     /// Workload name (matches Table 3, e.g. `"519.lbm"`).
     pub name: String,

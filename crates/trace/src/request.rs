@@ -1,7 +1,7 @@
 //! Trace records and the trace-source abstraction.
 
 use comet_dram::PhysAddr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One record of an LLC-miss trace: `gap` non-memory instructions followed by
 /// one memory access.
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// This is the same shape as Ramulator's CPU trace format ("number of CPU
 /// instructions before the request, address, read/write"), which the paper's
 /// SimPoint traces use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TraceRecord {
     /// Number of non-memory instructions the core retires before this access.
     pub gap: u32,
