@@ -65,7 +65,7 @@ mod tests {
         let top = |key: &str| hotpath.get(key).and_then(Value::as_f64);
         // The top-level headline duplicates the basket-level aggregate.
         assert_eq!(top("smoke_accesses_per_sec"), Some(smoke.accesses_per_sec));
-        assert_eq!(top("ci_reference_smoke_accesses_per_sec"), Some(623811.5865509693));
+        assert_eq!(top("ci_reference_smoke_accesses_per_sec"), Some(678336.7267623901));
 
         let tracker = serde_json::from_str(include_str!("../../../BENCH_tracker.json")).unwrap();
         assert_eq!(tracker.get("label").and_then(Value::as_str), Some("hot-path basket"));

@@ -28,8 +28,10 @@
 //! across banks) is the entire story. Randomized enqueue-interleaving
 //! coverage lives in `fcfs_interleavings.rs` alongside this suite.
 
-use comet_bench::hotpath::{basket, stats_checksum, stress_basket, HotpathScope};
-use comet_sim::LoopMode;
+use comet_bench::hotpath::{
+    basket, stats_checksum, stress_basket, CellWorkload, HotpathCell, HotpathScope, HOTPATH_SEED,
+};
+use comet_sim::{LoopMode, MechanismKind, RunResult, Runner, SimConfig};
 
 // Generated by `cargo run -p comet-bench --release --bin perf -- --print-goldens`.
 const GOLDEN_SMOKE_CHECKSUMS: &[(&str, u64)] = &[
@@ -61,28 +63,100 @@ const GOLDEN_STRESS_CHECKSUMS: &[(&str, u64)] = &[
     ("bfs_ny+attack16/ch2/CoMeT@nrh50000", 0x1464fdaea0a2a81c),
 ];
 
+/// RowHammer threshold of the wake-rule cells below: low enough that
+/// BlockHammer throttles and Hydra's counters spill to DRAM within the run.
+const WAKE_RULE_NRH: u64 = 125;
+
+/// Runs the cells that cover what the event-driven loop's wake rules touch
+/// beyond the smoke basket, under `mode`:
+/// - an 8-core homogeneous mix, where many cores block at once, on full
+///   queues and on their own reads;
+/// - Hydra and BlockHammer under attack at 1 and 4 channels, the mechanisms
+///   whose metadata holds and ACT throttling delay requests in the queues;
+/// - short single-core runs whose end falls while a blocked core's dispatch
+///   clock has already passed a returned read. Such a core makes progress
+///   on its next advance, before its `blocked_wake` cycle, and the
+///   instructions it dispatches there count toward the run. The lengths were
+///   found by scanning: a wake rule that waits for `blocked_wake` in that
+///   state diverges on them.
+///
+/// The mix runs 60k measured cycles instead of `quick_test`'s 400k, and the
+/// attack cells run the smoke basket's length, to keep the suite cheap.
+fn wake_rule_runs(mode: LoopMode) -> Vec<(String, RunResult)> {
+    let mut config = SimConfig::quick_test();
+    config.sim_cycles = 60_000;
+    let runner = Runner::with_seed(config, HOTPATH_SEED).with_loop_mode(mode);
+    let mix = runner.run_homogeneous("450.soplex", 8, MechanismKind::Comet, WAKE_RULE_NRH).expect("mix runs");
+    let mut runs = vec![("450.soplex-x8/CoMeT@nrh125".to_string(), mix)];
+    for channels in [1usize, 4] {
+        for mechanism in [MechanismKind::Hydra, MechanismKind::BlockHammer] {
+            let cell = HotpathCell {
+                workload: CellWorkload::Attack { benign: "473.astar", rows_per_bank: 4 },
+                channels,
+                mechanism,
+                nrh: WAKE_RULE_NRH,
+            };
+            runs.push((cell.label(), cell.run_with_mode(HotpathScope::Smoke, mode).expect("cell runs")));
+        }
+    }
+    let mut short = SimConfig::quick_test();
+    short.warmup_cycles = 2_000;
+    for (workload, lengths) in [("429.mcf", 100..=110), ("450.soplex", 920..=930)] {
+        for sim_cycles in lengths {
+            short.sim_cycles = sim_cycles;
+            let runner = Runner::with_seed(short.clone(), HOTPATH_SEED).with_loop_mode(mode);
+            let run = runner.run_single_core(workload, MechanismKind::Baseline, WAKE_RULE_NRH).expect("run");
+            runs.push((format!("{workload}/Baseline/2000+{sim_cycles}"), run));
+        }
+    }
+    runs
+}
+
 #[test]
 fn event_driven_loop_matches_dense_reference_loop() {
     let mut failures = Vec::new();
+    let mut compare = |label: String, event: &RunResult, dense: &RunResult| {
+        if stats_checksum(event) != stats_checksum(dense) {
+            failures.push(format!(
+                "{label}: event {:?} (checksum {:016x}) != dense {:?} (checksum {:016x})",
+                event.controller,
+                stats_checksum(event),
+                dense.controller,
+                stats_checksum(dense),
+            ));
+        }
+    };
     for cell in basket(HotpathScope::Smoke) {
         let event = cell.run_with_mode(HotpathScope::Smoke, LoopMode::EventDriven).expect("cell runs");
         let dense = cell.run_with_mode(HotpathScope::Smoke, LoopMode::DenseReference).expect("cell runs");
-        if stats_checksum(&event) != stats_checksum(&dense) {
-            failures.push(format!(
-                "{}: event {:?} (checksum {:016x}) != dense {:?} (checksum {:016x})",
-                cell.label(),
-                event.controller,
-                stats_checksum(&event),
-                dense.controller,
-                stats_checksum(&dense),
-            ));
-        }
+        compare(cell.label(), &event, &dense);
+    }
+    let event_runs = wake_rule_runs(LoopMode::EventDriven);
+    for ((label, event), (_, dense)) in event_runs.iter().zip(wake_rule_runs(LoopMode::DenseReference)) {
+        compare(label.clone(), event, &dense);
     }
     assert!(
         failures.is_empty(),
         "event-driven loop diverged from the dense reference loop:\n{}",
         failures.join("\n")
     );
+    // Guard the wake-rule inputs' own premise: if a future trace or
+    // mechanism change stopped them from blocking cores or holding requests,
+    // the comparison would lose its teeth.
+    let (_, mix) = &event_runs[0];
+    assert!(
+        mix.engine.core_wakes_skipped > mix.engine.core_advances,
+        "the 8-core mix must skip most of the old rule's blocked-core advances: {:?}",
+        mix.engine
+    );
+    for (label, run) in &event_runs {
+        let held = match run.mechanism.as_str() {
+            "Hydra" => run.controller.metadata_accesses,
+            "BlockHammer" => run.controller.throttled_acts,
+            _ => continue,
+        };
+        assert!(held > 0, "{label} must hold requests: {:?}", run.controller);
+    }
 }
 
 #[test]

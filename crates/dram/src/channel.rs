@@ -100,6 +100,12 @@ impl DramChannel {
         rank.bank(addr.bank_in_rank(&self.config.geometry)).open_row()
     }
 
+    /// The cycle the shared data bus frees: no column command can issue
+    /// before it.
+    pub fn data_bus_free_at(&self) -> Cycle {
+        self.data_bus_free_at
+    }
+
     /// Earliest cycle at which `cmd` targeting `addr` can be legally issued.
     pub fn earliest_issue(&self, cmd: CommandKind, addr: &DramAddr, now: Cycle) -> Cycle {
         let t = &self.config.timing;
@@ -142,8 +148,8 @@ impl DramChannel {
             now >= self.earliest_issue(cmd, addr, now),
             "{cmd:?} issued at {now} before its earliest legal cycle"
         );
-        let t = self.config.timing.clone();
-        self.ranks[addr.rank].issue_trusted(cmd, addr.bank_group, addr.bank, addr.row, now, &t);
+        let t = &self.config.timing;
+        self.ranks[addr.rank].issue_trusted(cmd, addr.bank_group, addr.bank, addr.row, now, t);
 
         match cmd {
             CommandKind::Act => {

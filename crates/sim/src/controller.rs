@@ -3,13 +3,14 @@
 //!
 //! # Per-bank scheduler architecture
 //!
-//! `tick` runs once per issued command (and once per idle wakeup), so its
-//! cost dominates simulation throughput. Earlier revisions kept two
-//! monolithic read/write queues and re-scanned all of them on every tick;
-//! this controller keeps one *lane* per DRAM bank ([`BankLane`]: a read
-//! FIFO and a write FIFO in arrival order, plus open-row hit counts) and
-//! arbitrates over at most one memoized candidate per lane per scheduling
-//! class. The invariants, in dependency order:
+//! `tick` runs on every loop iteration whose cycle reaches the shard's
+//! next-event bound: the cycle after each issued command, and each wakeup
+//! the bound names. Its cost dominates simulation throughput. Earlier
+//! revisions kept two monolithic read/write queues and re-scanned all of
+//! them on every tick; this controller keeps one *lane* per DRAM bank
+//! ([`BankLane`]: a read FIFO and a write FIFO in arrival order, plus
+//! open-row hit counts) and arbitrates over at most one memoized candidate
+//! per lane per scheduling class. The invariants, in dependency order:
 //!
 //! * **Seq order is FCFS order.** Every accepted request is stamped with a
 //!   globally increasing arrival sequence number. Lane FIFOs are seq-sorted
@@ -44,6 +45,10 @@
 //! write-drain-preferred kind then the other kind, then activations and
 //! precharges (FCFS) likewise — and each issues at most one command per
 //! tick, so the command stream is a pure function of controller state.
+//! While the channel's data bus is busy no column command is legal, so the
+//! FR pass sleeps: it neither walks nor evaluates its candidates, and only
+//! when the FCFS pass issues nothing does the tick fold their recorded
+//! bounds, each raised to the bus-free cycle, into its next-event bound.
 //!
 //! The returned next-event bound is the minimum over skipped candidates'
 //! bounds, freshly evaluated constraint times, pending hold expiries,
@@ -574,6 +579,18 @@ impl MemoryController {
     /// Whether the write queue can accept another request.
     pub fn can_accept_write(&self) -> bool {
         self.write_len < self.config.write_queue_size
+    }
+
+    /// Demand requests dequeued so far from the read queue, or the write
+    /// queue when `is_write`. A slot in that queue frees exactly when this
+    /// count moves: a request leaves its queue only when its column command
+    /// issues, which is when it counts as completed.
+    pub(crate) fn dequeues(&self, is_write: bool) -> u64 {
+        if is_write {
+            self.stats.writes_completed
+        } else {
+            self.stats.reads_completed
+        }
     }
 
     /// Enqueues a demand request. Returns `false` (and drops nothing) when the
@@ -1212,10 +1229,11 @@ impl MemoryController {
 
     /// One demand-scheduling attempt: refresh the dirty lanes' candidate
     /// memos, run the FR (column) pass for the preferred then the other
-    /// kind, then the FCFS (row) pass. Between lane invalidations the
-    /// arbitration queues persist, so a tick's cost is a compare-skip walk
-    /// over at most one candidate per pending bank — with timing actually
-    /// evaluated only where the memoized per-bank bound has matured.
+    /// kind if the data bus is free, then the FCFS (row) pass. Between lane
+    /// invalidations the arbitration queues persist, so a tick's cost is a
+    /// compare-skip walk over at most one candidate per pending bank — with
+    /// timing actually evaluated only where the memoized per-bank bound has
+    /// matured.
     fn try_demand(&mut self, now: Cycle) -> Cycle {
         self.tick_evals = 0;
         let next = self.demand_inner(now);
@@ -1275,15 +1293,25 @@ impl MemoryController {
         self.pressure.demand_ticks += 1;
 
         // Pass 1: column hits (FR part of FR-FCFS), oldest first, in the
-        // preferred kind then the other kind.
-        for writes in [serve_writes, !serve_writes] {
-            if self.column_pass(now, writes, &mut next_wake) {
-                return now + 1;
+        // preferred kind then the other kind. No column command can issue
+        // while the shared data bus is busy, so the pass sleeps until the bus
+        // frees: it neither walks nor evaluates its candidates.
+        let bus_free = self.channel.data_bus_free_at();
+        if bus_free <= now {
+            for writes in [serve_writes, !serve_writes] {
+                if self.column_pass(now, writes, &mut next_wake) {
+                    return now + 1;
+                }
             }
         }
         // Pass 2: activations and precharges (FCFS part).
         if self.row_pass(now, serve_writes, &mut next_wake) {
             return now + 1;
+        }
+        if bus_free > now {
+            // Nothing issued, so the bound counts: fold the sleeping column
+            // candidates in, each no earlier than the bus.
+            self.column_bounds(bus_free, &mut next_wake);
         }
         next_wake.max(now + 1)
     }
@@ -1351,6 +1379,20 @@ impl MemoryController {
         }
         self.class_queues[class] = queue;
         issued
+    }
+
+    /// The FR pass's contribution to the next-event bound while the data bus
+    /// is busy until `bus_free`: no candidate can issue before the later of
+    /// its recorded bound and `bus_free`. Capped candidates contribute
+    /// nothing, as in [`column_pass`](Self::column_pass).
+    fn column_bounds(&self, bus_free: Cycle, next_wake: &mut Cycle) {
+        for class in [READ_HIT, WRITE_HIT] {
+            for cand in &self.class_queues[class] {
+                if self.sched[cand.bank as usize].columns_since_act < self.config.column_cap {
+                    *next_wake = (*next_wake).min(cand.blocked_until.max(bus_free));
+                }
+            }
+        }
     }
 
     /// FCFS pass: walks the memoized non-hit candidates (the request whose

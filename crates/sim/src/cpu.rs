@@ -39,6 +39,25 @@ struct OutstandingRead {
     completion_cpu: Option<f64>,
 }
 
+/// What a blocked core waits for (see [`TraceCore::blocked_on`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BlockedOn {
+    /// A slot in `channel`'s read queue, or its write queue when `is_write`:
+    /// the pending request was refused, and only a demand dequeue from that
+    /// queue can let it in.
+    QueueSlot {
+        /// Channel of the refused request.
+        channel: usize,
+        /// Whether the refused request is a write.
+        is_write: bool,
+    },
+    /// The oldest outstanding read: its completion, once noted, and then the
+    /// cycle [`TraceCore::blocked_wake`] reports for its return.
+    ReadReturn,
+    /// No event: the next advance makes progress whenever it runs.
+    Nothing,
+}
+
 /// A trace-driven core.
 ///
 /// The core dispatches the trace in program order: each record's `gap`
@@ -70,8 +89,8 @@ pub struct TraceCore {
     /// accounted at the successful retry instead (see `advance`).
     stalled_on_full_queue: bool,
     /// The pending record's already-decoded DRAM address, kept across
-    /// full-queue retries so the per-cycle re-probe skips the address-map
-    /// arithmetic (a stalled core retries every issued-command cycle).
+    /// full-queue retries so a re-probe skips the address-map arithmetic (a
+    /// stalled core retries after every dequeue from the queue it waits on).
     pending_addr: Option<comet_dram::DramAddr>,
     next_request_id: u64,
 }
@@ -164,11 +183,11 @@ impl TraceCore {
     /// `None` (blocked) next needs to run, or `None` when only a
     /// memory-system event can unblock it — a read-data return for an
     /// instruction window stalled on an unknown completion, or a freed queue
-    /// slot for a core stalled on a full controller queue. The simulation
-    /// loop wakes one cycle after every issued command, which is exactly
-    /// when those events become visible, so such cores need no wakeup of
-    /// their own: this is what lets the event-driven loop skip the
-    /// cycle-by-cycle retry probing of the dense reference loop.
+    /// slot for a core stalled on a full controller queue. The event-driven
+    /// loop re-advances a blocked core when that event happens (a completion
+    /// noted for the core, a dequeue from the queue it waits on) or when this
+    /// cycle comes, and not on the iterations in between, whose advances
+    /// would change nothing.
     pub fn blocked_wake(&self) -> Option<Cycle> {
         if self.window_headroom() == 0 {
             // Window full: runnable again once the oldest read's data is back.
@@ -184,6 +203,27 @@ impl TraceCore {
             // Conservative fallback (not reachable from `advance`'s `None`
             // paths today): behave like `next_wake`.
             Some(self.first_cycle_covering(self.clock_cpu))
+        }
+    }
+
+    /// The event a core whose [`advance`](Self::advance) returned `None`
+    /// waits for. Until that event, and before
+    /// [`blocked_wake`](Self::blocked_wake), a further `advance` changes
+    /// nothing that a later one would not change the same way: a full-queue
+    /// stall only creeps the dispatch clock, which the next `advance`
+    /// reconstructs from `now`, and retires returned reads, which any later
+    /// `advance` retires too. So the loop may skip those advances.
+    pub(crate) fn blocked_on(&self) -> BlockedOn {
+        if self.stalled_on_full_queue {
+            let addr = self.pending_addr.expect("a full-queue stall keeps the decoded address");
+            let is_write = self.pending.is_some_and(|r| r.is_write);
+            return BlockedOn::QueueSlot { channel: addr.channel, is_write };
+        }
+        match self.outstanding.front().and_then(|f| f.completion_cpu) {
+            // The dispatch clock ran past the read's return inside the last
+            // record, so the next advance retires it whenever it runs.
+            Some(t) if t <= self.clock_cpu => BlockedOn::Nothing,
+            _ => BlockedOn::ReadReturn,
         }
     }
 

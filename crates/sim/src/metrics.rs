@@ -62,6 +62,15 @@ pub struct EngineTelemetry {
     /// Mechanism structure gauges per channel shard at run end
     /// (`RowHammerMitigation::telemetry_gauges`).
     pub tracker_gauges: Vec<Vec<(&'static str, f64)>>,
+    /// Simulation-loop iterations over the whole run (warmup included).
+    pub loop_iterations: u64,
+    /// `TraceCore::advance` calls over the whole run.
+    pub core_advances: u64,
+    /// Advances of blocked cores the loop skipped because the event they
+    /// wait for had not happened; a loop that re-advanced every blocked core
+    /// on every iteration would have made `core_advances + core_wakes_skipped`
+    /// calls.
+    pub core_wakes_skipped: u64,
 }
 
 impl RunResult {

@@ -1,7 +1,7 @@
 //! The full simulated system: cores + sharded memory system + simulation loop.
 
 use crate::controller::{ControllerConfig, ControllerStats};
-use crate::cpu::{CoreConfig, TraceCore};
+use crate::cpu::{BlockedOn, CoreConfig, TraceCore};
 use crate::memory::MemorySystem;
 use crate::metrics::{EngineTelemetry, RunResult};
 use comet_dram::{ChannelStats, Cycle, DramConfig, EnergyCounters};
@@ -122,19 +122,23 @@ impl Default for SimConfig {
 ///
 /// Both modes produce bit-identical simulation results: every command issues
 /// at the cycle the controllers' next-event bounds dictate, and the dense
-/// mode's extra intermediate steps are no-ops. The equivalence suite
-/// (`crates/bench/tests/bitexact_hotpath.rs`) runs the perf basket under both
-/// modes and asserts equal statistics, which keeps the bounds honest.
+/// mode's extra intermediate steps and core advances are no-ops. The
+/// equivalence suite (`crates/bench/tests/bitexact_hotpath.rs`) runs the perf
+/// basket, the FCFS stress cells, an 8-core mix, the hold-setting
+/// mechanisms and short runs that end while a core is stalled under both
+/// modes and asserts equal statistics, which keeps the bounds and the core
+/// wake rule honest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoopMode {
     /// Jump straight to the next controller or core event; channel shards
-    /// whose cached next-event time has not arrived are not stepped. The
+    /// whose cached next-event time has not arrived are not stepped, and a
+    /// blocked core is not re-advanced until the event it waits for. The
     /// default, and several times faster.
     #[default]
     EventDriven,
     /// The reference loop of the pre-event-driven simulator: every shard is
-    /// stepped at every iteration and time never advances by more than 512
-    /// cycles at once.
+    /// stepped and every blocked core re-advanced at every iteration, and
+    /// time never advances by more than 512 cycles at once.
     DenseReference,
 }
 
@@ -145,6 +149,53 @@ impl LoopMode {
         match self {
             LoopMode::EventDriven => "event",
             LoopMode::DenseReference => "dense",
+        }
+    }
+}
+
+/// What a core's last [`TraceCore::advance`] said, which tells the loop when
+/// the next one can do anything.
+#[derive(Debug, Clone, Copy)]
+enum CoreWait {
+    /// Waiting on its own dispatch clock: nothing to do before this cycle.
+    Until(Cycle),
+    /// Blocked on `on`. `wake` is its [`TraceCore::blocked_wake`];
+    /// `dequeues` is the awaited queue's dequeue count when it blocked.
+    Blocked { on: BlockedOn, wake: Option<Cycle>, dequeues: u64 },
+}
+
+impl CoreWait {
+    /// Whether the core must be advanced at `now`. Skipping it otherwise is
+    /// bit-exact, because the skipped advance would change nothing:
+    /// - a core waiting on its dispatch clock would re-derive the same
+    ///   cycle (completions only mark outstanding reads, which
+    ///   `note_completion` already did);
+    /// - a core refused by a full queue waits for a dequeue from it;
+    /// - a core whose window is full waits for a completion, which the loop
+    ///   signals by resetting the wait to `Until(now)`, and once its oldest
+    ///   read's completion is known, for that read's `blocked_wake` cycle;
+    /// - a core blocked on [`BlockedOn::Nothing`] is always due.
+    ///
+    /// The dense reference loop keeps the old rule and re-advances every
+    /// blocked core on every iteration, so the equivalence tests compare the
+    /// two rules.
+    fn due(&self, now: Cycle, memory: &MemorySystem, mode: LoopMode) -> bool {
+        match *self {
+            CoreWait::Until(w) => now >= w,
+            CoreWait::Blocked { .. } if mode == LoopMode::DenseReference => true,
+            CoreWait::Blocked { on: BlockedOn::QueueSlot { channel, is_write }, dequeues, .. } => {
+                memory.shard(channel).dequeues(is_write) != dequeues
+            }
+            CoreWait::Blocked { on: BlockedOn::ReadReturn, wake, .. } => wake.is_some_and(|w| now >= w),
+            CoreWait::Blocked { on: BlockedOn::Nothing, .. } => true,
+        }
+    }
+
+    /// The cycle the loop must run at for this core, if it knows one.
+    fn wake(&self) -> Option<Cycle> {
+        match *self {
+            CoreWait::Until(w) => Some(w),
+            CoreWait::Blocked { wake, .. } => wake,
         }
     }
 }
@@ -227,17 +278,14 @@ impl System {
         let mut warm_taken = warmup_end == 0;
         // Reused across iterations so the loop allocates nothing per step.
         let mut completions = Vec::new();
-        // Per-core wake memo: a core whose `advance` returned `Some(wake)`
-        // is waiting on its own dispatch clock, not on memory — every call
-        // before `wake` would re-derive the same answer without touching the
-        // memory system (completions only mark outstanding reads, which
-        // `note_completion` already did), so it is skipped verbatim.
-        // Blocked cores (`None`) are re-advanced every iteration: the loop
-        // wakes one cycle after each issued command, which is exactly when a
-        // freed queue slot or returned read becomes visible.
-        let mut core_wake: Vec<Option<Cycle>> = vec![Some(0); self.cores.len()];
+        // What each core's last `advance` said; the loop skips a core's
+        // advance until what it waits for happens (see `CoreWait::due`).
+        let mut waits = vec![CoreWait::Until(0); self.cores.len()];
+        // Loop counters, kept in plain locals and folded into the result.
+        let mut counts = EngineTelemetry::default();
 
         while now < end {
+            counts.loop_iterations += 1;
             if !warm_taken && now >= warmup_end {
                 warm = self.warm_snapshot();
                 warm_taken = true;
@@ -247,22 +295,36 @@ impl System {
             self.memory.drain_completions_into(&mut completions);
             for completion in &completions {
                 self.cores[completion.core].note_completion(completion.id, completion.completion);
+                // A returned read is the event a read-blocked core waits for.
+                if let CoreWait::Blocked { on: BlockedOn::ReadReturn, .. } = waits[completion.core] {
+                    waits[completion.core] = CoreWait::Until(now);
+                }
             }
             let mut earliest_core: Option<Cycle> = None;
-            for (core, memo) in self.cores.iter_mut().zip(&mut core_wake) {
-                let wake = match *memo {
-                    Some(w) if now < w => Some(w),
-                    _ => {
-                        let wake = core.advance(now, &mut self.memory);
-                        *memo = wake;
-                        wake
-                    }
-                };
-                // A core that `advance` left blocked contributes a wakeup only
-                // if it knows one (a pending read-data return); cores waiting
-                // on a memory-system event (unknown completion, full queue)
-                // are woken by the loop's next memory event instead.
-                if let Some(w) = wake.or_else(|| core.blocked_wake()) {
+            for (core, wait) in self.cores.iter_mut().zip(&mut waits) {
+                if wait.due(now, &self.memory, mode) {
+                    counts.core_advances += 1;
+                    *wait = match core.advance(now, &mut self.memory) {
+                        Some(w) => CoreWait::Until(w),
+                        None => {
+                            let on = core.blocked_on();
+                            let dequeues = match on {
+                                BlockedOn::QueueSlot { channel, is_write } => {
+                                    self.memory.shard(channel).dequeues(is_write)
+                                }
+                                _ => 0,
+                            };
+                            CoreWait::Blocked { on, wake: core.blocked_wake(), dequeues }
+                        }
+                    };
+                } else if let CoreWait::Blocked { .. } = wait {
+                    counts.core_wakes_skipped += 1;
+                }
+                // A blocked core contributes a wakeup only if it knows one (a
+                // pending read-data return); cores waiting on a memory-system
+                // event (unknown completion, full queue) are woken by that
+                // event, which only a memory tick can cause.
+                if let Some(w) = wait.wake() {
                     earliest_core = Some(earliest_core.map_or(w, |e| e.min(w)));
                 }
             }
@@ -283,9 +345,10 @@ impl System {
             // the bounded `now + 512` skip the reference loop keeps. Cores
             // blocked on a full queue report no wakeup of their own: a slot
             // only frees when the controller issues a column command, whose
-            // tick returns `now + 1`, so the loop re-runs the blocked core
-            // on the very next cycle — the same cycle the dense per-cycle
-            // retry probing would first succeed on.
+            // tick returns `now + 1`, so the loop runs again on the very next
+            // cycle and re-advances the cores waiting on that queue — the
+            // same cycle the dense per-cycle retry probing would first
+            // succeed on.
             let mut next = memory_next.max(now + 1);
             if let Some(c) = earliest_core {
                 next = next.min(c.max(now + 1));
@@ -299,7 +362,7 @@ impl System {
             };
         }
 
-        self.assemble(label.into(), &warm)
+        self.assemble(label.into(), &warm, counts)
     }
 
     /// Snapshots every statistic for warmup exclusion.
@@ -323,7 +386,7 @@ impl System {
 
     /// Assembles the measured (post-warmup) result and publishes the run's
     /// telemetry into the process-global metrics registry.
-    fn assemble(self, label: String, warm: &WarmSnapshot) -> RunResult {
+    fn assemble(self, label: String, warm: &WarmSnapshot, counts: EngineTelemetry) -> RunResult {
         let measured_cycles = self.config.total_cycles() - self.config.warmup_cycles;
         let ctrl = self.memory.stats().delta_since(&warm.ctrl);
         let mut energy = self.memory.energy_counters(0).delta_since(&warm.energy);
@@ -357,6 +420,7 @@ impl System {
                 .map(|lanes| lanes.iter().map(|l| l.depth_peak).max().unwrap_or(0))
                 .collect(),
             tracker_gauges: self.memory.per_channel_mitigation_telemetry(),
+            ..counts
         };
 
         let result = RunResult {

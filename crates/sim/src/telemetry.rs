@@ -34,6 +34,23 @@ pub fn publish_run(result: &RunResult, registry: &Registry) {
         .add(result.activations);
 
     let engine = &result.engine;
+    registry
+        .counter_with(
+            "comet_engine_loop_iterations_total",
+            "Simulation-loop iterations, warmup included.",
+            &by_mech,
+        )
+        .add(engine.loop_iterations);
+    registry
+        .counter_with("comet_engine_core_advances_total", "Core advances, warmup included.", &by_mech)
+        .add(engine.core_advances);
+    registry
+        .counter_with(
+            "comet_engine_core_wakes_skipped_total",
+            "Blocked-core advances skipped because the awaited event had not happened.",
+            &by_mech,
+        )
+        .add(engine.core_wakes_skipped);
     for (channel, pressure) in engine.scheduler.iter().enumerate() {
         let channel_label = channel.to_string();
         let labels = [("channel", channel_label.as_str())];
@@ -122,6 +139,16 @@ mod tests {
         assert!(text.contains("comet_tracker_activations_observed_total{mech=\"CoMeT\"}"));
         assert!(text.contains("comet_tracker_cms_saturation{channel=\"0\",mech=\"CoMeT\"}"));
         assert!(text.contains("comet_engine_demand_ticks_total{channel=\"0\"}"));
+        let engine = &result.engine;
+        assert!(engine.loop_iterations > 0 && engine.core_advances > 0 && engine.core_wakes_skipped > 0);
+        for (name, value) in [
+            ("loop_iterations", engine.loop_iterations),
+            ("core_advances", engine.core_advances),
+            ("core_wakes_skipped", engine.core_wakes_skipped),
+        ] {
+            let line = format!("comet_engine_{name}_total{{mech=\"CoMeT\"}} {value}");
+            assert!(text.contains(&line), "missing `{line}` in scrape:\n{text}");
+        }
 
         // Counters accumulate across runs.
         publish_run(&result, &registry);
