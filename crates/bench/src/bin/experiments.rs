@@ -15,12 +15,11 @@
 //! under the output directory (default `results/`).
 //!
 //! The binary is a thin client of the experiment service layer: every
-//! simulation cell runs through an in-process
-//! [`ExperimentService`](comet_service::ExperimentService), so cells shared
-//! between targets (e.g. unprotected baselines) are simulated once per
-//! invocation and `--cache DIR` makes the result cache persistent across
-//! invocations (same layout the `comet-serviced` daemon uses — point both at
-//! the same directory and they share warm results). `--threads 1` /
+//! simulation cell runs through an in-process [`ExperimentService`], so
+//! cells shared between targets (e.g. unprotected baselines) are simulated
+//! once per invocation and `--cache DIR` makes the result cache persistent
+//! across invocations (same layout the `comet-serviced` daemon uses — point
+//! both at the same directory and they share warm results). `--threads 1` /
 //! `--serial` force the reference serial path, which produces bit-identical
 //! results; the wall-clock time of every target is reported.
 //!

@@ -21,7 +21,10 @@
 //!   the CI bench-smoke regression gate.
 //! * `--diff OLD NEW` compares two snapshots without running anything: a
 //!   per-cell speedup table (Markdown, so it can be piped straight into a CI
-//!   job summary) plus basket, attack-cell, and suite aggregates.
+//!   job summary) plus basket, attack-cell, and suite aggregates. Every cell
+//!   carries a checksum of its simulated state, so the diff is also a
+//!   bit-exactness check: it exits 1, after printing the report, when any
+//!   cell present in both snapshots has a different checksum.
 //! * `--print-goldens` runs the smoke basket and the FCFS stress cells and
 //!   prints the golden checksum tables consumed by
 //!   `crates/bench/tests/bitexact_hotpath.rs`.
@@ -34,7 +37,7 @@
 //!   suite (smoke scope, serial executor) and records the wall-clock.
 //! * `--tracker` runs the per-mechanism tracker microbench suite (ACT
 //!   streams fed straight to the trackers, no DRAM model) instead of the
-//!   baskets; `--diff` against an earlier tracker snapshot flags any cell
+//!   baskets; `--diff` against an earlier tracker snapshot fails on any cell
 //!   whose state checksum drifted.
 //!
 //! Every basket cell runs through the serial event-driven loop, one cell at
@@ -428,7 +431,8 @@ fn geomean(speedups: &[f64]) -> Option<(f64, usize)> {
 }
 
 /// Compares two snapshots cell by cell and prints a Markdown speedup report
-/// (suitable for a terminal and for a CI job summary alike).
+/// (suitable for a terminal and for a CI job summary alike). Exits 1 when a
+/// cell's checksum drifted, 2 when the snapshots cannot be compared.
 fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
     let (old, new) = match (read_snapshot(old_path), read_snapshot(new_path)) {
         (Ok(old), Ok(new)) => (old, new),
@@ -441,6 +445,7 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
     println!();
     println!("before: `{}` — after: `{}`", label(&old, "old"), label(&new, "new"));
     let mut compared_anything = false;
+    let mut drifted = 0;
     for scope in ["full", "smoke", "tracker"] {
         let (Some(old_basket), Some(new_basket)) = (basket(&old, scope), basket(&new, scope)) else {
             continue;
@@ -482,9 +487,9 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
                 if let Some(mechanism) = cell.label.split('/').next() {
                     by_mechanism.entry(mechanism.to_string()).or_default().push(speedup);
                 }
-                if old.checksum != cell.checksum {
-                    checksum_drift.push(cell.label.clone());
-                }
+            }
+            if old.checksum != cell.checksum {
+                checksum_drift.push(cell.label.clone());
             }
         }
         for old in old_cells {
@@ -513,9 +518,10 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
         }
         if !checksum_drift.is_empty() {
             println!(
-                "- ⚠ tracker checksums drifted for: {} (the tracker core is no longer bit-exact)",
+                "- ⚠ {scope} checksums drifted for: {} (the simulated state is no longer bit-exact)",
                 checksum_drift.join(", ")
             );
+            drifted += checksum_drift.len();
         }
     }
     let suite_wall_s = |snapshot: &Value| snapshot.get("suite_wall_s").and_then(Value::as_f64);
@@ -533,6 +539,10 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
     if !compared_anything {
         eprintln!("error: the snapshots share no basket or suite section to compare");
         return ExitCode::from(2);
+    }
+    if drifted > 0 {
+        eprintln!("FAIL: {drifted} cell checksum(s) drifted");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

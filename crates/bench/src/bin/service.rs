@@ -48,8 +48,8 @@ fn main() {
 
 #[cfg(unix)]
 mod unix {
-    use comet_service::json;
     use comet_service::protocol::{LineConn, LineEvent};
+    use serde::Value;
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::time::{Duration, Instant};
@@ -271,9 +271,11 @@ mod unix {
             }
             Err(ExchangeError::Io(message)) => return Err(message),
         };
-        let value = json::parse(&response).map_err(|error| format!("unparseable response ({error})"))?;
-        let exposition = json::get(&value, "exposition")
-            .and_then(json::as_str)
+        let value =
+            serde_json::from_str(&response).map_err(|error| format!("unparseable response ({error})"))?;
+        let exposition = value
+            .get("exposition")
+            .and_then(Value::as_str)
             .ok_or_else(|| format!("response carried no exposition: {response}"))?;
         Ok(comet_telemetry::tabulate(exposition))
     }
@@ -318,11 +320,11 @@ mod unix {
                         std::process::exit(1);
                     }
                 });
-            let value = json::parse(&response).unwrap_or_else(|error| {
+            let value = serde_json::from_str(&response).unwrap_or_else(|error| {
                 eprintln!("error: unparseable response ({error}): {response}");
                 std::process::exit(1);
             });
-            let overloaded = matches!(json::get(&value, "overloaded"), Some(serde::Value::Bool(true)));
+            let overloaded = matches!(value.get("overloaded"), Some(Value::Bool(true)));
             if !overloaded {
                 break (response, value);
             }
@@ -333,8 +335,7 @@ mod unix {
                 );
                 std::process::exit(4);
             }
-            let hinted =
-                json::get(&value, "retry_after_ms").and_then(json::as_u64).unwrap_or(args.backoff_ms);
+            let hinted = value.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(args.backoff_ms);
             let base = hinted.max(args.backoff_ms) << retries_used.min(6);
             let delay = base + jitter_ms(base, retries_used);
             eprintln!("service: overloaded; retry {} in {delay} ms", retries_used + 1);
@@ -349,19 +350,19 @@ mod unix {
             });
         }
 
-        let ok = matches!(json::get(&value, "ok"), Some(serde::Value::Bool(true)));
+        let ok = matches!(value.get("ok"), Some(Value::Bool(true)));
         if !ok {
-            let message = json::get(&value, "error").and_then(json::as_str).unwrap_or("unknown error");
+            let message = value.get("error").and_then(Value::as_str).unwrap_or("unknown error");
             eprintln!("error: daemon refused the request: {message}");
             std::process::exit(1);
         }
 
         match args.command.as_str() {
             "submit" => {
-                let wall_s = json::get(&value, "wall_s").and_then(json::as_f64).unwrap_or(0.0);
-                let stats = json::get(&value, "stats");
+                let wall_s = value.get("wall_s").and_then(Value::as_f64).unwrap_or(0.0);
+                let stats = value.get("stats");
                 let stat =
-                    |name: &str| stats.and_then(|s| json::get(s, name)).and_then(json::as_f64).unwrap_or(0.0);
+                    |name: &str| stats.and_then(|s| s.get(name)).and_then(Value::as_f64).unwrap_or(0.0);
                 let hit_rate = stat("hit_rate");
                 println!(
                     "ok id={} wall_s={wall_s:.3} cells={} cache_hits={} batch_shared={} simulated={} hit_rate={hit_rate:.4} retries={retries_used}",
@@ -380,7 +381,7 @@ mod unix {
             }
             "stats" => println!("{response}"),
             "metrics" => {
-                let exposition = json::get(&value, "exposition").and_then(json::as_str).unwrap_or_default();
+                let exposition = value.get("exposition").and_then(Value::as_str).unwrap_or_default();
                 print!("{}", comet_telemetry::tabulate(exposition));
             }
             _ => println!("ok id={}", args.id),

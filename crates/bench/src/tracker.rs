@@ -3,12 +3,12 @@
 //! The hot-path basket (`hotpath.rs`) measures whole simulations — CPU model,
 //! scheduler, DRAM timing, tracker. The cells here isolate the *tracker core*:
 //! a deterministic activation stream is fed straight into one
-//! [`RowHammerMitigation`] instance with no DRAM model in between, so the
-//! wall-clock is the per-activation cost of the mechanism's own bookkeeping
-//! (CMS walks, Misra-Gries table updates, Hydra's filter/RCC path,
-//! BlockHammer's dual Bloom filters). `perf --tracker` runs the suite and
-//! records it in `BENCH_tracker.json`; `perf --diff` renders the
-//! per-mechanism speedup table.
+//! [`RowHammerMitigation`](comet_mitigations::RowHammerMitigation) instance
+//! with no DRAM model in between, so the wall-clock is the per-activation
+//! cost of the mechanism's own bookkeeping (CMS walks, Misra-Gries table
+//! updates, Hydra's filter/RCC path, BlockHammer's dual Bloom filters).
+//! `perf --tracker` runs the suite and records it in `BENCH_tracker.json`;
+//! `perf --diff` renders the per-mechanism speedup table.
 //!
 //! Every cell also folds its final mitigation statistics (plus the response
 //! stream it observed) into a checksum. The checksum must be identical across

@@ -83,11 +83,6 @@ impl CountMinSketch {
         self.cap
     }
 
-    /// Whether conservative updates are enabled.
-    pub fn is_conservative(&self) -> bool {
-        self.conservative
-    }
-
     /// Computes `item`'s counter-group indices into an inline buffer and
     /// returns `(buffer, rows)` — the allocation-free, fused form used on the
     /// per-activation hot path (all hashes in one pass, then the row-major

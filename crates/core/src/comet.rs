@@ -122,8 +122,6 @@ impl Comet {
 }
 
 impl RowHammerMitigation for Comet {
-    comet_mitigations::impl_mitigation_checkpoint!(Comet);
-
     fn name(&self) -> &str {
         "CoMeT"
     }

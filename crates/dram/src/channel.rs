@@ -207,11 +207,6 @@ impl DramChannel {
         let t = &self.config.timing;
         t.t_rcd + t.cl + t.burst_cycles
     }
-
-    /// Marks the elapsed simulation time so background energy can be attributed.
-    pub fn note_elapsed(&mut self, total_cycles: Cycle) {
-        self.energy.elapsed_cycles = total_cycles;
-    }
 }
 
 #[cfg(test)]

@@ -77,11 +77,6 @@ impl EnergyBreakdown {
     pub fn total_nj(&self) -> f64 {
         self.act_pre_nj + self.read_nj + self.write_nj + self.refresh_nj + self.background_nj
     }
-
-    /// Total energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
-        self.total_nj() / 1.0e6
-    }
 }
 
 /// DDR4-style IDD current parameters (per device, in milliamperes) and supply voltage.

@@ -52,11 +52,6 @@ impl Rank {
         }
     }
 
-    /// Number of banks in this rank.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Immutable access to a bank by flat index within the rank.
     pub fn bank(&self, index: usize) -> &Bank {
         &self.banks[index]

@@ -135,12 +135,6 @@ impl TimingParams {
         self.t_refw / self.t_rc
     }
 
-    /// Maximum number of activations a rank can receive in one refresh window
-    /// (limited by the four-activation window `t_faw`).
-    pub fn max_acts_per_rank_per_window(&self) -> u64 {
-        4 * self.t_refw / self.t_faw
-    }
-
     /// Checks internal consistency of the parameters.
     ///
     /// Returns a list of human-readable violations; an empty list means the

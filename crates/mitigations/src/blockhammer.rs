@@ -103,11 +103,6 @@ impl CountingBloomFilter {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
     }
-
-    /// Number of hash functions.
-    pub fn hash_count(&self) -> usize {
-        self.hashes
-    }
 }
 
 /// Configuration of the BlockHammer mechanism.
@@ -217,8 +212,6 @@ impl BlockHammer {
 }
 
 impl RowHammerMitigation for BlockHammer {
-    crate::impl_mitigation_checkpoint!(BlockHammer);
-
     fn name(&self) -> &str {
         "BlockHammer"
     }

@@ -209,8 +209,6 @@ impl Graphene {
 }
 
 impl RowHammerMitigation for Graphene {
-    crate::impl_mitigation_checkpoint!(Graphene);
-
     fn name(&self) -> &str {
         "Graphene"
     }

@@ -169,8 +169,6 @@ impl Hydra {
 }
 
 impl RowHammerMitigation for Hydra {
-    crate::impl_mitigation_checkpoint!(Hydra);
-
     fn name(&self) -> &str {
         "Hydra"
     }

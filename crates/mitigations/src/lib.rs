@@ -55,4 +55,4 @@ pub use para::Para;
 pub use perrow::PerRowCounters;
 pub use rega::Rega;
 pub use stats::MitigationStats;
-pub use traits::{FnFactory, MitigationFactory, MitigationResponse, RowHammerMitigation};
+pub use traits::{MitigationResponse, RowHammerMitigation};

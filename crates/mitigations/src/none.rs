@@ -21,8 +21,6 @@ impl NoMitigation {
 }
 
 impl RowHammerMitigation for NoMitigation {
-    crate::impl_mitigation_checkpoint!(NoMitigation);
-
     fn name(&self) -> &str {
         "Baseline"
     }

@@ -48,8 +48,6 @@ impl Para {
 }
 
 impl RowHammerMitigation for Para {
-    crate::impl_mitigation_checkpoint!(Para);
-
     fn name(&self) -> &str {
         "PARA"
     }

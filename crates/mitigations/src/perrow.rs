@@ -60,8 +60,6 @@ impl PerRowCounters {
 }
 
 impl RowHammerMitigation for PerRowCounters {
-    crate::impl_mitigation_checkpoint!(PerRowCounters);
-
     fn name(&self) -> &str {
         "PerRow"
     }

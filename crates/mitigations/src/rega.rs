@@ -12,7 +12,7 @@ use comet_dram::{Cycle, DramAddr, TimingParams};
 /// longer row cycle: to refresh `v` rows per activation the device needs the
 /// row to stay open longer, so `tRC`/`tRAS` grow with `v`, and `v` itself grows
 /// as the RowHammer threshold shrinks. Following the CoMeT paper's methodology
-/// (§6, "we modify tRC as described in [127]"), this model derives a per-ACT
+/// (§6, "we modify tRC as described in \[127\]"), this model derives a per-ACT
 /// latency penalty from `NRH`:
 ///
 /// * `NRH ≥ 1000` — the protection fits in the activation's slack: no penalty,
@@ -63,8 +63,6 @@ impl Rega {
 }
 
 impl RowHammerMitigation for Rega {
-    crate::impl_mitigation_checkpoint!(Rega);
-
     fn name(&self) -> &str {
         "REGA"
     }

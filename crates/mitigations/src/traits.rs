@@ -65,9 +65,8 @@ impl MitigationResponse {
 /// Implementations must be deterministic given their construction-time seed so
 /// experiments are reproducible.
 ///
-/// `Send` is a supertrait so that a per-channel mechanism instance can live
-/// inside a controller shard that runs on a worker thread of the parallel
-/// experiment executor.
+/// `Send` is a supertrait, so a mechanism instance, and the system that owns
+/// it, can be moved to another thread.
 ///
 /// # Methods the simulator does not call
 ///
@@ -75,19 +74,21 @@ impl MitigationResponse {
 /// a mechanism, so [`on_activations`](Self::on_activations),
 /// [`quiescent_activations`](Self::quiescent_activations),
 /// [`checkpoint`](Self::checkpoint), [`restore`](Self::restore) and
-/// [`as_any`](Self::as_any) have no caller in the simulator. They stay on the
-/// trait because the repository benchmark builds against it: its timing
-/// wrapper (`TimedTracker` in `repobench/src/traced.rs`) implements every
-/// method, so removing one is a change to the benchmark and has to land
-/// together with it.
+/// [`as_any`](Self::as_any) have no caller in the simulator. Each has a
+/// default body, so a mechanism implements none of them. They stay on the
+/// trait only because the repository benchmark's timing wrapper
+/// (`TimedTracker` in `repobench/src/traced.rs`) forwards all five; ROADMAP
+/// item 4(b) drops those forwards, after which the methods can go.
 pub trait RowHammerMitigation: Send {
     /// Short, stable mechanism name used in experiment reports (e.g. `"CoMeT"`).
     fn name(&self) -> &str;
 
     /// Notifies the mechanism that row `addr` was activated at cycle `now`.
     ///
-    /// `weight` is the number of equivalent activations to charge (1 for a
-    /// plain activation; more when RowPress-adjusted accounting is enabled).
+    /// `weight` is the number of equivalent activations to charge. The
+    /// controller always passes 1: nothing feeds RowPress-adjusted weights
+    /// (`comet_dram::rowpress`) into the simulator, so a weight above 1 only
+    /// reaches a mechanism through a direct call.
     fn on_activation(&mut self, addr: &DramAddr, now: Cycle, weight: u64) -> MitigationResponse;
 
     /// Notifies the mechanism of a batch of activations in one call.
@@ -175,111 +176,23 @@ pub trait RowHammerMitigation: Send {
         0
     }
 
-    /// Clones the mechanism into a boxed trait object. Implemented for every
-    /// mechanism by [`impl_mitigation_checkpoint!`](crate::impl_mitigation_checkpoint);
-    /// the simulator does not call it (see the trait-level note).
-    fn checkpoint(&self) -> Box<dyn RowHammerMitigation>;
-
-    /// Restores the mechanism to a state previously captured by
-    /// [`checkpoint`](Self::checkpoint). Panics if `checkpoint` holds a
-    /// different concrete mechanism type: checkpoints never travel between
-    /// mechanisms, so a mismatch is a simulator bug, not a recoverable error.
-    fn restore(&mut self, checkpoint: &dyn RowHammerMitigation);
-
-    /// The mechanism as [`Any`](std::any::Any), so
-    /// [`restore`](Self::restore) can downcast a checkpoint back to the
-    /// concrete type.
-    fn as_any(&self) -> &dyn std::any::Any;
-}
-
-/// Implements the [`RowHammerMitigation`] checkpoint/restore seam
-/// (`checkpoint` / `restore` / `as_any`) for a `Clone + 'static` mechanism.
-/// Invoke *inside* the mechanism's `impl RowHammerMitigation for …` block:
-///
-/// ```rust,ignore
-/// impl RowHammerMitigation for PerRowCounters {
-///     comet_mitigations::impl_mitigation_checkpoint!(PerRowCounters);
-///     // … the mechanism-specific methods …
-/// }
-/// ```
-#[macro_export]
-macro_rules! impl_mitigation_checkpoint {
-    ($mechanism:ty) => {
-        fn checkpoint(&self) -> ::std::boxed::Box<dyn $crate::RowHammerMitigation> {
-            ::std::boxed::Box::new(::std::clone::Clone::clone(self))
-        }
-
-        fn restore(&mut self, checkpoint: &dyn $crate::RowHammerMitigation) {
-            let snapshot = checkpoint
-                .as_any()
-                .downcast_ref::<$mechanism>()
-                .expect(concat!("checkpoint is not a ", stringify!($mechanism)));
-            ::std::clone::Clone::clone_from(self, snapshot);
-        }
-
-        fn as_any(&self) -> &dyn ::std::any::Any {
-            self
-        }
-    };
-}
-
-/// Builds one independent mitigation instance per memory-channel shard.
-///
-/// The sharded memory system in `comet-sim` owns one controller — and thus
-/// one tracker — per channel, mirroring how per-channel RowHammer trackers
-/// are instantiated in hardware. A factory captures everything needed to
-/// construct a mechanism (configuration, threshold, seed) so that shards can
-/// be built lazily, per channel, possibly from worker threads (`Send + Sync`).
-pub trait MitigationFactory: Send + Sync {
-    /// Short, stable mechanism name (matches the built instances' `name()`).
-    fn name(&self) -> &str;
-
-    /// Builds the mechanism instance protecting `channel`.
-    ///
-    /// Instances for different channels must be independent: mutating one
-    /// shard's tracker state must never affect another's. Probabilistic
-    /// mechanisms should derive per-channel randomness from `channel` so that
-    /// shards do not replay identical decision streams.
-    fn build(&self, channel: usize) -> Box<dyn RowHammerMitigation>;
-}
-
-/// A [`MitigationFactory`] wrapping a closure — the easiest way to adapt a
-/// concrete mechanism constructor.
-///
-/// ```rust
-/// use comet_mitigations::{FnFactory, MitigationFactory, NoMitigation};
-///
-/// let factory = FnFactory::new("Baseline", |_channel| Box::new(NoMitigation::new()));
-/// assert_eq!(factory.build(0).name(), "Baseline");
-/// ```
-pub struct FnFactory {
-    name: String,
-    build: Box<dyn Fn(usize) -> Box<dyn RowHammerMitigation> + Send + Sync>,
-}
-
-impl FnFactory {
-    /// Creates a factory calling `build` for every channel.
-    pub fn new(
-        name: impl Into<String>,
-        build: impl Fn(usize) -> Box<dyn RowHammerMitigation> + Send + Sync + 'static,
-    ) -> Self {
-        FnFactory { name: name.into(), build: Box::new(build) }
-    }
-}
-
-impl MitigationFactory for FnFactory {
-    fn name(&self) -> &str {
-        &self.name
+    /// Clones the mechanism into a boxed trait object. No mechanism
+    /// supports it: the default panics (see the trait-level note).
+    fn checkpoint(&self) -> Box<dyn RowHammerMitigation> {
+        panic!("{}: `checkpoint` is not implemented (kept only until ROADMAP item 4(b))", self.name())
     }
 
-    fn build(&self, channel: usize) -> Box<dyn RowHammerMitigation> {
-        (self.build)(channel)
+    /// Restores the mechanism to a state captured by
+    /// [`checkpoint`](Self::checkpoint). No mechanism supports it: the
+    /// default panics (see the trait-level note).
+    fn restore(&mut self, _checkpoint: &dyn RowHammerMitigation) {
+        panic!("{}: `restore` is not implemented (kept only until ROADMAP item 4(b))", self.name())
     }
-}
 
-impl std::fmt::Debug for FnFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnFactory").field("name", &self.name).finish()
+    /// The mechanism as [`Any`](std::any::Any). No mechanism supports it:
+    /// the default panics (see the trait-level note).
+    fn as_any(&self) -> &dyn std::any::Any {
+        panic!("{}: `as_any` is not implemented (kept only until ROADMAP item 4(b))", self.name())
     }
 }
 
@@ -316,20 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn fn_factory_builds_independent_instances() {
-        let factory = FnFactory::new("Baseline", |_channel| {
-            Box::new(crate::NoMitigation::new()) as Box<dyn RowHammerMitigation>
-        });
-        assert_eq!(factory.name(), "Baseline");
-        let addr = DramAddr { channel: 0, rank: 0, bank_group: 0, bank: 0, row: 5, column: 0 };
-        let mut a = factory.build(0);
-        let b = factory.build(1);
-        a.on_activation(&addr, 0, 1);
-        assert_eq!(a.stats().activations_observed, 1);
-        assert_eq!(b.stats().activations_observed, 0, "instances must not share state");
-    }
-
-    #[test]
     fn batched_activations_match_the_per_activation_loop() {
         use comet_dram::{DramGeometry, TimingParams};
 
@@ -360,6 +259,12 @@ mod tests {
         }
         assert_eq!(batched.stats(), looped.stats());
         assert!(responses.iter().any(|r| !r.is_nop()), "the hammer batch must trigger refreshes");
+    }
+
+    #[test]
+    #[should_panic(expected = "Baseline: `checkpoint` is not implemented")]
+    fn uncalled_checkpoint_methods_panic_by_default() {
+        let _ = crate::NoMitigation::new().checkpoint();
     }
 
     #[test]

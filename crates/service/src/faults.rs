@@ -6,9 +6,8 @@
 //! service:
 //!
 //! * **store I/O** — [`FaultPlan::on_append`] is consulted before every
-//!   segment append and can tear the write mid-line (crash simulation),
-//!   fail it outright (ENOSPC simulation), or clamp it behind a delay
-//!   (slow-disk simulation);
+//!   segment append and can tear the write mid-line (crash simulation) or
+//!   fail it outright (ENOSPC simulation);
 //! * **workers** — [`FaultPlan::on_simulate`] runs at the top of every cell
 //!   simulation attempt and can panic on schedule (worker-crash simulation)
 //!   or hold all workers at a gate until the test releases them (the
@@ -27,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 /// What the store should do with one append.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +64,6 @@ struct PlanState {
     appends_seen: u64,
     torn_appends: HashMap<u64, usize>,
     enospc_from: Option<u64>,
-    append_delay: Option<Duration>,
     panics: HashMap<String, u32>,
     hold_workers: bool,
     workers_held: usize,
@@ -117,12 +114,6 @@ impl FaultPlan {
         self
     }
 
-    /// Clamps every store append behind `delay` (slow-disk simulation).
-    pub fn delay_appends(self, delay: Duration) -> Self {
-        self.lock().append_delay = Some(delay);
-        self
-    }
-
     /// Scripts the first `times` simulation attempts of the cell labelled
     /// `label` to panic. Pass [`u32::MAX`] for "always panics" (the
     /// retries-exhausted path).
@@ -132,9 +123,9 @@ impl FaultPlan {
     }
 
     /// Closes the worker gate: every subsequent simulation attempt blocks in
-    /// [`on_simulate`](Self::on_simulate) until [`release_workers`]
-    /// (Self::release_workers) opens it. This is how admission-control tests
-    /// deterministically keep the job queue occupied.
+    /// [`on_simulate`](Self::on_simulate) until
+    /// [`release_workers`](Self::release_workers) opens it. This is how
+    /// admission-control tests deterministically keep the job queue occupied.
     pub fn hold_workers(&self) {
         self.lock().hold_workers = true;
     }
@@ -223,26 +214,18 @@ impl FaultPlan {
         false
     }
 
-    /// Store hook: consumes one append slot and returns the scripted fault
-    /// (with any scripted delay already applied).
+    /// Store hook: consumes one append slot and returns the scripted fault.
     pub fn on_append(&self) -> AppendFault {
-        let (fault, delay) = {
-            let mut state = self.lock();
-            let nth = state.appends_seen;
-            state.appends_seen += 1;
-            let fault = if let Some(&keep_bytes) = state.torn_appends.get(&nth) {
-                AppendFault::Torn { keep_bytes }
-            } else if state.enospc_from.is_some_and(|from| nth >= from) {
-                AppendFault::Enospc
-            } else {
-                AppendFault::Proceed
-            };
-            (fault, state.append_delay)
-        };
-        if let Some(delay) = delay {
-            std::thread::sleep(delay);
+        let mut state = self.lock();
+        let nth = state.appends_seen;
+        state.appends_seen += 1;
+        if let Some(&keep_bytes) = state.torn_appends.get(&nth) {
+            AppendFault::Torn { keep_bytes }
+        } else if state.enospc_from.is_some_and(|from| nth >= from) {
+            AppendFault::Enospc
+        } else {
+            AppendFault::Proceed
         }
-        fault
     }
 
     /// Worker hook: blocks while the gate is held, then panics if this
@@ -343,7 +326,7 @@ mod tests {
         };
         // Wait for the worker to reach the gate, then release it.
         while plan.workers_held() == 0 {
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
         plan.release_workers();
         worker.join().unwrap();

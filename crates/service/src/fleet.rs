@@ -419,11 +419,6 @@ impl Fleet {
         self.cv.notify_all();
     }
 
-    /// Whether `drain` has been called.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
     // ------------------------------------------------------------------
     // Worker side (called by the daemon's connection handlers)
     // ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 //! Content-addressed cell identity.
 //!
 //! A cached result is only reusable if its key covers *everything* the
-//! simulation depends on: the full [`SimConfig`] (geometry, timing, energy,
-//! controller policy, core model, cycle counts), the runner's seed and loop
-//! mode, and the cell spec (workload placement, mechanism with all custom
-//! parameters, threshold). The canonical form is the compact JSON rendering
+//! simulation depends on: the full [`SimConfig`](comet_sim::SimConfig)
+//! (geometry, timing, energy, controller policy, core model, cycle counts),
+//! the runner's seed and loop mode, and the cell spec (workload placement,
+//! mechanism with all custom parameters, threshold). The canonical form is the compact JSON rendering
 //! of exactly those parts in a fixed field order, prefixed with a schema tag;
 //! the key is its 128-bit FNV-1a hash.
 //!

@@ -52,7 +52,6 @@
 //! apart in how they assemble lines from reads.
 
 use crate::error::ServiceError;
-use crate::json;
 use crate::key::{CellKey, KEY_SCHEMA};
 use crate::service::{ExperimentService, ServiceStats};
 use crate::targets;
@@ -239,24 +238,25 @@ pub enum Op {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
-    let value = json::parse(line)?;
-    let id = json::get(&value, "id").and_then(json::as_u64).unwrap_or(0);
-    let op = json::get(&value, "op")
-        .and_then(json::as_str)
+    let value = serde_json::from_str(line)?;
+    let id = value.get("id").and_then(Value::as_u64).unwrap_or(0);
+    let op = value
+        .get("op")
+        .and_then(Value::as_str)
         .ok_or_else(|| ServiceError::Protocol("missing \"op\"".to_string()))?;
     let op = match op {
         "run" => {
-            let scope = match json::get(&value, "scope").and_then(json::as_str).unwrap_or("smoke") {
+            let scope = match value.get("scope").and_then(Value::as_str).unwrap_or("smoke") {
                 "smoke" => ExperimentScope::Smoke,
                 "quick" => ExperimentScope::Quick,
                 "full" => ExperimentScope::Full,
                 other => return Err(ServiceError::Protocol(format!("unknown scope {other:?}"))),
             };
-            let targets: Vec<String> = match json::get(&value, "targets").and_then(json::as_seq) {
+            let targets: Vec<String> = match value.get("targets").and_then(Value::as_seq) {
                 Some(items) => items
                     .iter()
                     .map(|item| {
-                        json::as_str(item)
+                        item.as_str()
                             .map(str::to_string)
                             .ok_or_else(|| ServiceError::Protocol("targets must be strings".to_string()))
                     })
@@ -274,7 +274,7 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
                     )));
                 }
             }
-            let priority = json::get(&value, "priority").and_then(json::as_i64).unwrap_or(0);
+            let priority = value.get("priority").and_then(Value::as_i64).unwrap_or(0);
             Op::Run { scope, targets, priority }
         }
         "stats" => Op::Stats,
@@ -282,33 +282,35 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
         "ping" => Op::Ping,
         "shutdown" => Op::Shutdown,
         "register" => Op::Register {
-            threads: json::get(&value, "threads").and_then(json::as_u64).unwrap_or(1) as usize,
-            schema: json::get(&value, "schema")
-                .and_then(json::as_str)
+            threads: value.get("threads").and_then(Value::as_u64).unwrap_or(1) as usize,
+            schema: value
+                .get("schema")
+                .and_then(Value::as_str)
                 .ok_or_else(|| ServiceError::Protocol("register requires \"schema\"".to_string()))?
                 .to_string(),
         },
         "pull" => Op::Pull {
             worker: worker_field(&value)?,
-            wait_ms: json::get(&value, "wait_ms").and_then(json::as_u64).unwrap_or(0),
+            wait_ms: value.get("wait_ms").and_then(Value::as_u64).unwrap_or(0),
         },
         "heartbeat" => Op::Heartbeat {
             worker: worker_field(&value)?,
-            cells: json::get(&value, "cells").and_then(json::as_u64),
-            busy: json::get(&value, "busy").and_then(|v| match v {
+            cells: value.get("cells").and_then(Value::as_u64),
+            busy: value.get("busy").and_then(|v| match v {
                 Value::Bool(b) => Some(*b),
                 _ => None,
             }),
         },
         "complete" => {
-            let key = json::get(&value, "key")
-                .and_then(json::as_str)
-                .and_then(CellKey::from_hex)
-                .ok_or_else(|| ServiceError::Protocol("complete requires a 32-hex \"key\"".to_string()))?;
-            let outcome = match json::get(&value, "result") {
+            let key =
+                value.get("key").and_then(Value::as_str).and_then(CellKey::from_hex).ok_or_else(|| {
+                    ServiceError::Protocol("complete requires a 32-hex \"key\"".to_string())
+                })?;
+            let outcome = match value.get("result") {
                 Some(result) => Ok(result.clone()),
-                None => Err(json::get(&value, "error")
-                    .and_then(json::as_str)
+                None => Err(value
+                    .get("error")
+                    .and_then(Value::as_str)
                     .ok_or_else(|| {
                         ServiceError::Protocol("complete requires \"result\" or \"error\"".to_string())
                     })?
@@ -322,8 +324,9 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
 }
 
 fn worker_field(value: &Value) -> Result<u64, ServiceError> {
-    json::get(value, "worker")
-        .and_then(json::as_u64)
+    value
+        .get("worker")
+        .and_then(Value::as_u64)
         .ok_or_else(|| ServiceError::Protocol("fleet ops require a \"worker\" id".to_string()))
 }
 
@@ -494,22 +497,22 @@ mod tests {
     #[test]
     fn error_responses_are_parseable_json() {
         let line = error_response(3, &ServiceError::Protocol("bad \"thing\"".to_string()));
-        let value = json::parse(&line).unwrap();
-        assert_eq!(json::get(&value, "ok"), Some(&serde::Value::Bool(false)));
-        assert_eq!(json::as_str(json::get(&value, "error").unwrap()), Some("bad \"thing\""));
+        let value = serde_json::from_str(&line).unwrap();
+        assert_eq!(value.get("ok"), Some(&serde::Value::Bool(false)));
+        assert_eq!(value.get("error").and_then(Value::as_str), Some("bad \"thing\""));
     }
 
     #[test]
     fn overloaded_responses_carry_the_retry_flags() {
         let line = error_response(9, &ServiceError::Overloaded { queued: 4, bound: 4 });
-        let value = json::parse(&line).unwrap();
-        assert_eq!(json::get(&value, "overloaded"), Some(&serde::Value::Bool(true)));
-        assert_eq!(json::get(&value, "retry_after_ms").and_then(json::as_u64), Some(RETRY_AFTER_MS));
-        assert_eq!(json::get(&value, "queued").and_then(json::as_u64), Some(4));
+        let value = serde_json::from_str(&line).unwrap();
+        assert_eq!(value.get("overloaded"), Some(&serde::Value::Bool(true)));
+        assert_eq!(value.get("retry_after_ms").and_then(Value::as_u64), Some(RETRY_AFTER_MS));
+        assert_eq!(value.get("queued").and_then(Value::as_u64), Some(4));
 
         let line = error_response(2, &ServiceError::ShuttingDown);
-        let value = json::parse(&line).unwrap();
-        assert_eq!(json::get(&value, "shutting_down"), Some(&serde::Value::Bool(true)));
-        assert_eq!(json::get(&value, "overloaded"), None);
+        let value = serde_json::from_str(&line).unwrap();
+        assert_eq!(value.get("shutting_down"), Some(&serde::Value::Bool(true)));
+        assert_eq!(value.get("overloaded"), None);
     }
 }

@@ -11,9 +11,10 @@
 //!   worker grinding through a long cell still proves liveness.
 //!
 //! Every failure path converges on one reconnect loop with deterministic
-//! jittered exponential backoff ([`protocol::backoff_jitter_ms`]): fresh
-//! connection, fresh registration, fresh worker id. The coordinator treats
-//! the old id as dead and requeues anything it held. A schema refusal at
+//! jittered exponential backoff
+//! ([`protocol::backoff_jitter_ms`](crate::protocol::backoff_jitter_ms)):
+//! fresh connection, fresh registration, fresh worker id. The coordinator
+//! treats the old id as dead and requeues anything it held. A schema refusal at
 //! registration is fatal (a mixed-version fleet must fail loudly, not
 //! retry forever); a `shutting_down` response is a clean exit.
 //!
@@ -27,7 +28,6 @@
 
 use crate::error::ServiceError;
 use crate::faults::{DeliverFault, FaultPlan};
-use crate::json;
 use crate::key::{CellKey, KEY_SCHEMA};
 use crate::protocol::{backoff_jitter_ms, LineConn, LineEvent};
 use crate::store;
@@ -178,7 +178,7 @@ fn connect(addr: &str) -> std::io::Result<LineConn<TcpStream>> {
 fn read_response(conn: &mut LineConn<TcpStream>, stop: &AtomicBool, dead: &AtomicBool) -> Option<Value> {
     loop {
         match conn.read_event() {
-            Ok(LineEvent::Line(line)) => return json::parse(&line).ok(),
+            Ok(LineEvent::Line(line)) => return serde_json::from_str(&line).ok(),
             Ok(LineEvent::TimedOut) => {
                 if stop.load(Ordering::Acquire) || dead.load(Ordering::Acquire) {
                     return None;
@@ -190,11 +190,11 @@ fn read_response(conn: &mut LineConn<TcpStream>, stop: &AtomicBool, dead: &Atomi
 }
 
 fn is_shutting_down(response: &Value) -> bool {
-    json::get(response, "shutting_down").is_some_and(|flag| flag == &Value::Bool(true))
+    response.get("shutting_down").is_some_and(|flag| flag == &Value::Bool(true))
 }
 
 fn response_ok(response: &Value) -> bool {
-    json::get(response, "ok") == Some(&Value::Bool(true))
+    response.get("ok") == Some(&Value::Bool(true))
 }
 
 fn run_session(
@@ -217,13 +217,11 @@ fn run_session(
         if is_shutting_down(&response) {
             return Ok(SessionEnd::Finished);
         }
-        let message = json::get(&response, "error")
-            .and_then(json::as_str)
-            .unwrap_or("registration refused")
-            .to_string();
+        let message =
+            response.get("error").and_then(Value::as_str).unwrap_or("registration refused").to_string();
         return Err(SessionError::Fatal(ServiceError::Protocol(message)));
     }
-    let worker = json::get(&response, "worker").and_then(json::as_u64).ok_or(SessionError::Transient)?;
+    let worker = response.get("worker").and_then(Value::as_u64).ok_or(SessionError::Transient)?;
     report.registrations += 1;
 
     // The heartbeat piggybacks a compact snapshot of these (relaxed reads of
@@ -265,7 +263,7 @@ fn run_session(
                         Some(response) if response_ok(&response) => {
                             // `live:false` ⇒ the coordinator presumed us
                             // dead; force a re-registration.
-                            if json::get(&response, "live") == Some(&Value::Bool(false)) {
+                            if response.get("live") == Some(&Value::Bool(false)) {
                                 dead.store(true, Ordering::Release);
                                 return;
                             }
@@ -330,10 +328,10 @@ fn work_loop(
             // Unknown worker (presumed dead while we polled): re-register.
             return Ok(SessionEnd::Reconnect);
         }
-        let Some(job) = json::get(&response, "job").filter(|job| **job != Value::Null) else {
+        let Some(job) = response.get("job").filter(|job| **job != Value::Null) else {
             continue;
         };
-        let Some(key) = json::get(job, "key").and_then(json::as_str).and_then(CellKey::from_hex) else {
+        let Some(key) = job.get("key").and_then(Value::as_str).and_then(CellKey::from_hex) else {
             return Ok(SessionEnd::Reconnect);
         };
         busy.store(true, Ordering::Relaxed);
@@ -375,7 +373,7 @@ fn work_loop(
             }
             return Ok(SessionEnd::Reconnect);
         }
-        let accepted = json::get(&response, "accepted") == Some(&Value::Bool(true));
+        let accepted = response.get("accepted") == Some(&Value::Bool(true));
         if !accepted {
             report.stale += 1;
             continue;
@@ -398,7 +396,7 @@ enum JobOutcome {
 }
 
 fn execute_job(config: &WorkerConfig, job: &Value) -> JobOutcome {
-    let Some(payload) = json::get(job, "payload") else {
+    let Some(payload) = job.get("payload") else {
         return JobOutcome::Ran(Err("pull response carried no payload".to_string()));
     };
     // Re-serialize the payload subtree; `decode_job`'s byte-equality check

@@ -10,7 +10,6 @@
 
 #![cfg(unix)]
 
-use comet_service::json;
 use comet_service::protocol::{LineConn, LineEvent};
 use comet_service::store::result_projection;
 use comet_service::{
@@ -109,16 +108,17 @@ impl ManualWorker {
         let mut conn = LineConn::new(stream);
         conn.write_line(&format!("{{\"op\":\"register\",\"id\":1,\"threads\":1,\"schema\":\"{schema}\"}}"))
             .unwrap();
-        let value = json::parse(&read_line(&mut conn)).expect("parseable response");
-        if json::get(&value, "ok") != Some(&Value::Bool(true)) {
-            return Err(json::get(&value, "error")
-                .and_then(json::as_str)
+        let value = serde_json::from_str(&read_line(&mut conn)).expect("parseable response");
+        if value.get("ok") != Some(&Value::Bool(true)) {
+            return Err(value
+                .get("error")
+                .and_then(Value::as_str)
                 .unwrap_or("registration refused")
                 .to_string());
         }
-        let worker = json::get(&value, "worker").and_then(json::as_u64).expect("worker id");
+        let worker = value.get("worker").and_then(Value::as_u64).expect("worker id");
         assert!(
-            json::get(&value, "lease_timeout_ms").and_then(json::as_u64).is_some(),
+            value.get("lease_timeout_ms").and_then(Value::as_u64).is_some(),
             "registration advertises the lease timeout"
         );
         Ok(ManualWorker { conn, worker, next_id: 2 })
@@ -126,7 +126,7 @@ impl ManualWorker {
 
     fn request(&mut self, line: &str) -> Value {
         self.conn.write_line(line).unwrap();
-        json::parse(&read_line(&mut self.conn)).expect("parseable response")
+        serde_json::from_str(&read_line(&mut self.conn)).expect("parseable response")
     }
 
     fn pull(&mut self, wait_ms: u64) -> Option<(String, u64, Value)> {
@@ -135,14 +135,14 @@ impl ManualWorker {
         let worker = self.worker;
         let response = self
             .request(&format!("{{\"op\":\"pull\",\"id\":{id},\"worker\":{worker},\"wait_ms\":{wait_ms}}}"));
-        assert_eq!(json::get(&response, "ok"), Some(&Value::Bool(true)), "{response:?}");
-        let job = json::get(&response, "job").expect("pull responses carry a job field");
+        assert_eq!(response.get("ok"), Some(&Value::Bool(true)), "{response:?}");
+        let job = response.get("job").expect("pull responses carry a job field");
         if matches!(job, Value::Null) {
             return None;
         }
-        let key = json::get(job, "key").and_then(json::as_str).expect("job key").to_string();
-        let redeliveries = json::get(job, "redeliveries").and_then(json::as_u64).expect("redelivery count");
-        let payload = json::get(job, "payload").expect("job payload").clone();
+        let key = job.get("key").and_then(Value::as_str).expect("job key").to_string();
+        let redeliveries = job.get("redeliveries").and_then(Value::as_u64).expect("redelivery count");
+        let payload = job.get("payload").expect("job payload").clone();
         Some((key, redeliveries, payload))
     }
 
@@ -162,7 +162,7 @@ impl ManualWorker {
         self.next_id += 1;
         let worker = self.worker;
         let response = self.request(&format!("{{\"op\":\"heartbeat\",\"id\":{id},\"worker\":{worker}}}"));
-        json::get(&response, "live") == Some(&Value::Bool(true))
+        response.get("live") == Some(&Value::Bool(true))
     }
 
     fn complete(&mut self, key: &str, result_json: &str) -> bool {
@@ -172,7 +172,7 @@ impl ManualWorker {
         let response = self.request(&format!(
             "{{\"op\":\"complete\",\"id\":{id},\"worker\":{worker},\"key\":\"{key}\",\"result\":{result_json}}}"
         ));
-        json::get(&response, "accepted") == Some(&Value::Bool(true))
+        response.get("accepted") == Some(&Value::Bool(true))
     }
 }
 
@@ -389,10 +389,10 @@ fn shutdown_drains_leases_with_typed_rejections() {
             assert!(response.contains("\"shutdown\":true"), "{response}");
             let error = run.join().unwrap().unwrap_err();
             assert!(matches!(error, RunnerError::Draining { .. }), "expected Draining, got {error:?}");
-            let refusal = json::parse(&read_line(&mut holder.conn)).unwrap();
-            assert_eq!(json::get(&refusal, "ok"), Some(&Value::Bool(false)));
+            let refusal = serde_json::from_str(&read_line(&mut holder.conn)).unwrap();
+            assert_eq!(refusal.get("ok"), Some(&Value::Bool(false)));
             assert_eq!(
-                json::get(&refusal, "shutting_down"),
+                refusal.get("shutting_down"),
                 Some(&Value::Bool(true)),
                 "drained pulls must carry the machine-readable flag"
             );

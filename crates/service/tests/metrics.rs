@@ -6,7 +6,6 @@
 
 #![cfg(unix)]
 
-use comet_service::json;
 use comet_service::protocol::{LineConn, LineEvent};
 use comet_service::{Daemon, ExperimentService, Fleet, LeaseConfig, KEY_SCHEMA};
 use comet_sim::experiments::{CellBackend, CellSpec, ParallelExecutor};
@@ -73,9 +72,9 @@ fn the_metrics_op_round_trips_the_exposition() {
         .serve_session(std::io::BufReader::new("{\"op\":\"metrics\",\"id\":41}\n".as_bytes()), &mut output)
         .unwrap();
     let response = String::from_utf8(output).unwrap();
-    let value = json::parse(response.trim()).expect("parseable response");
-    assert_eq!(json::get(&value, "ok"), Some(&Value::Bool(true)));
-    let exposition = json::get(&value, "exposition").and_then(json::as_str).expect("exposition field");
+    let value = serde_json::from_str(response.trim()).expect("parseable response");
+    assert_eq!(value.get("ok"), Some(&Value::Bool(true)));
+    let exposition = value.get("exposition").and_then(Value::as_str).expect("exposition field");
     assert!(exposition.contains("# TYPE service_cells_requested_total counter"), "{exposition}");
     assert!(exposition.contains("service_cells_requested_total 0"), "{exposition}");
 }
@@ -144,8 +143,8 @@ fn the_http_endpoint_serves_prometheus_text_exposition() {
                 "{{\"op\":\"register\",\"id\":1,\"threads\":1,\"schema\":\"{KEY_SCHEMA}\"}}"
             ))
             .unwrap();
-        let registered = json::parse(&read_line(&mut worker)).unwrap();
-        let worker_id = json::get(&registered, "worker").and_then(json::as_u64).expect("a worker id");
+        let registered = serde_json::from_str(&read_line(&mut worker)).unwrap();
+        let worker_id = registered.get("worker").and_then(Value::as_u64).expect("a worker id");
         worker
             .write_line(&format!(
                 "{{\"op\":\"heartbeat\",\"id\":2,\"worker\":{worker_id},\"cells\":17,\"busy\":true}}"

@@ -8,7 +8,7 @@
 //! the bound names. Its cost dominates simulation throughput. Earlier
 //! revisions kept two monolithic read/write queues and re-scanned all of
 //! them on every tick; this controller keeps one *lane* per DRAM bank
-//! ([`BankLane`]: a read FIFO and a write FIFO in arrival order, plus
+//! (`BankLane`: a read FIFO and a write FIFO in arrival order, plus
 //! open-row hit counts) and arbitrates over at most one memoized candidate
 //! per lane per scheduling class. The invariants, in dependency order:
 //!
@@ -21,15 +21,15 @@
 //!   classes — {read, write} × {open-row hit, non-hit} — only the lane's
 //!   *oldest unheld* entry can ever be picked (FR-FCFS never serves a
 //!   younger entry of the same class first, and per-bank command timing
-//!   does not depend on which entry is served). [`LaneSched`] memoizes
-//!   these candidates; [`refresh_lane`](MemoryController::refresh_lane)
+//!   does not depend on which entry is served). `LaneSched` memoizes
+//!   these candidates; `MemoryController::refresh_lane`
 //!   re-derives them with one front-biased FIFO scan, but only for lanes
 //!   marked **dirty** — by an enqueue, by a command issued to the bank
 //!   (ACT/PRE/column directly, PREA/REF via their whole-rank sweep), by a
 //!   mitigation hold, or by a recorded hold maturing (`next_hold_check`).
 //!   Undisturbed lanes are never rescanned.
 //! * **The ready set is keyed by memoized earliest-legal-issue cycles.**
-//!   The four [`ClassCand`] queues are the persistent arbitration
+//!   The four `ClassCand` queues are the persistent arbitration
 //!   structure: each entry carries `blocked_until`, the candidate's last
 //!   computed earliest-legal-issue cycle. DRAM timing constraints only move
 //!   *later* as other commands issue, and every event that could move a
@@ -683,40 +683,11 @@ impl MemoryController {
         self.read_len + self.write_len
     }
 
-    /// Drains the list of reads completed since the last call.
-    ///
-    /// Allocates a fresh `Vec` per call; the simulation loop uses
-    /// [`drain_completions_into`](Self::drain_completions_into) with a
-    /// reusable buffer instead.
-    pub fn take_completions(&mut self) -> Vec<CompletedRead> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Moves the reads completed since the last call into `out`, preserving
     /// completion order and keeping the controller's internal buffer (and its
     /// capacity) for reuse.
     pub fn drain_completions_into(&mut self, out: &mut Vec<CompletedRead>) {
         out.append(&mut self.completions);
-    }
-
-    /// Number of demand reads currently queued.
-    pub fn queued_reads(&self) -> usize {
-        self.read_len
-    }
-
-    /// Number of demand writes currently queued.
-    pub fn queued_writes(&self) -> usize {
-        self.write_len
-    }
-
-    /// Capacity of the demand read queue.
-    pub fn read_queue_capacity(&self) -> usize {
-        self.config.read_queue_size
-    }
-
-    /// Capacity of the demand write queue.
-    pub fn write_queue_capacity(&self) -> usize {
-        self.config.write_queue_size
     }
 
     /// Whether the controller has any pending work besides periodic refresh.
@@ -1530,7 +1501,7 @@ mod tests {
         let mut done = Vec::new();
         while now < limit {
             let next = mc.tick(now);
-            done.extend(mc.take_completions());
+            mc.drain_completions_into(&mut done);
             if mc.idle() && !done.is_empty() && mc.queued_requests() == 0 {
                 break;
             }
@@ -1673,6 +1644,7 @@ mod tests {
         let mut now = 0;
         let mut id = 0;
         let mut issued = 0u64;
+        let mut done = Vec::new();
         while issued < 400 || mc.queued_requests() > 0 || !mc.idle() {
             if issued < 400 && mc.queued_requests() == 0 {
                 let row = if issued.is_multiple_of(2) { 100 } else { 300 };
@@ -1681,7 +1653,8 @@ mod tests {
                 issued += 1;
             }
             now = mc.tick(now).max(now + 1);
-            mc.take_completions();
+            mc.drain_completions_into(&mut done);
+            done.clear();
             assert!(now < 10_000_000, "controller failed to drain");
         }
         // Each row is activated ~200 times; with NPR = 100 both trigger refreshes
@@ -1716,6 +1689,7 @@ mod tests {
         let mut mc = controller_with(Box::new(tracker));
         let mut now = 0;
         let mut id = 0u64;
+        let mut done = Vec::new();
         for step in 0..6_000u64 {
             if mc.queued_requests() < 40 {
                 // Alternate hits (same row), conflicts (distinct rows in one
@@ -1733,7 +1707,8 @@ mod tests {
                 id += 1;
             }
             now = mc.tick(now).max(now + 1);
-            mc.take_completions();
+            mc.drain_completions_into(&mut done);
+            done.clear();
             mc.assert_index_invariants();
         }
         assert!(mc.stats().reads_completed > 100, "{:?}", mc.stats());

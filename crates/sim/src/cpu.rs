@@ -366,11 +366,6 @@ impl TraceCore {
             self.clock_cpu += 1.0 / self.config.retire_width as f64;
         }
     }
-
-    /// The core's current clock in CPU cycles.
-    pub fn clock_cpu(&self) -> f64 {
-        self.clock_cpu
-    }
 }
 
 impl std::fmt::Debug for TraceCore {
@@ -410,8 +405,10 @@ mod tests {
 
     fn run(core: &mut TraceCore, mc: &mut MemoryController, dram_cycles: u64) -> u64 {
         let mut now = 0u64;
+        let mut done = Vec::new();
         while now < dram_cycles {
-            for c in mc.take_completions() {
+            mc.drain_completions_into(&mut done);
+            for c in done.drain(..) {
                 core.note_completion(c.id, c.completion);
             }
             core.advance(now, mc);
@@ -482,8 +479,10 @@ mod tests {
         let mut mc = controller();
         let mut now = 0u64;
         let mut stalled_once = false;
+        let mut done = Vec::new();
         for _ in 0..20_000 {
-            for c in mc.take_completions() {
+            mc.drain_completions_into(&mut done);
+            for c in done.drain(..) {
                 core.note_completion(c.id, c.completion);
             }
             if core.advance(now, &mut mc).is_none() {

@@ -12,8 +12,8 @@
 //! experiment service keys its cache on the full configuration, so every rank
 //! count's cells cache independently.
 
+use super::GridView;
 use super::{baseline_cells, plan_grid, preventive_per_kilo_act, CellBackend, CellSpec, ExperimentScope};
-use super::{GridView, ParallelExecutor};
 use crate::metrics::{geometric_mean, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use serde::Serialize;
@@ -158,15 +158,10 @@ pub fn rank_sweep(scope: ExperimentScope, backend: &dyn CellBackend) -> Result<R
     rank_sweep_for(scope, MechanismKind::Comet, &[1, 2, 4], &scope.thresholds(), backend)
 }
 
-/// Convenience wrapper running the sweep on a plain executor (used by tests
-/// and examples that have no service).
-pub fn rank_sweep_serial(scope: ExperimentScope) -> Result<RankSweepResult, RunnerError> {
-    rank_sweep(scope, &ParallelExecutor::serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ParallelExecutor;
 
     #[test]
     fn smoke_rank_sweep_covers_every_rank_and_threshold() {

@@ -13,9 +13,10 @@
 //! the sharding-equivalence suite) and the [`MemorySystem`] implement.
 
 use crate::controller::{ControllerConfig, ControllerStats, MemoryController};
+use crate::registry::RegisteredFactory;
 use crate::request::{CompletedRead, MemRequest};
 use comet_dram::{ChannelStats, Cycle, DramAddr, DramConfig, EnergyCounters};
-use comet_mitigations::{MitigationFactory, MitigationStats};
+use comet_mitigations::MitigationStats;
 
 /// Where cores hand their demand requests.
 ///
@@ -68,7 +69,7 @@ impl MemorySystem {
     ///
     /// Panics if `dram` fails [`DramConfig::validate`] — the runner validates
     /// configurations up front and reports a `RunnerError` instead.
-    pub fn new(dram: DramConfig, controller: ControllerConfig, mitigation: &dyn MitigationFactory) -> Self {
+    pub fn new(dram: DramConfig, controller: ControllerConfig, mitigation: &RegisteredFactory) -> Self {
         let problems = dram.validate();
         assert!(problems.is_empty(), "invalid DRAM configuration: {problems:?}");
         let shards: Vec<MemoryController> = (0..dram.geometry.channels)
@@ -86,11 +87,6 @@ impl MemorySystem {
     /// The controller shard driving `channel`.
     pub fn shard(&self, channel: usize) -> &MemoryController {
         &self.shards[channel]
-    }
-
-    /// Mutable access to the controller shard driving `channel`.
-    pub fn shard_mut(&mut self, channel: usize) -> &mut MemoryController {
-        &mut self.shards[channel]
     }
 
     /// The DRAM configuration the shards were built from.
@@ -133,17 +129,6 @@ impl MemorySystem {
             min_next = min_next.min(*next);
         }
         min_next
-    }
-
-    /// Drains the reads completed since the last call, in channel order.
-    ///
-    /// Allocates a fresh `Vec` per call; the simulation loop uses
-    /// [`drain_completions_into`](Self::drain_completions_into) with a
-    /// reusable buffer instead.
-    pub fn take_completions(&mut self) -> Vec<CompletedRead> {
-        let mut completions = Vec::new();
-        self.drain_completions_into(&mut completions);
-        completions
     }
 
     /// Moves the reads completed since the last call into `out`, in channel
@@ -256,10 +241,14 @@ impl std::fmt::Debug for MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comet_mitigations::{FnFactory, NoMitigation, PerRowCounters};
+    use crate::registry::MechanismRegistry;
+    use crate::runner::MechanismKind;
+    use comet_mitigations::NoMitigation;
 
-    fn baseline_factory() -> FnFactory {
-        FnFactory::new("Baseline", |_channel| Box::new(NoMitigation::new()))
+    /// A memory system whose channels run the built-in `kind` at nRH 100.
+    fn memory_system(kind: MechanismKind, dram: DramConfig) -> MemorySystem {
+        let factory = MechanismRegistry::with_defaults().factory(kind, 100, &dram, 1).unwrap();
+        MemorySystem::new(dram, ControllerConfig::default(), &factory)
     }
 
     fn addr(channel: usize, row: usize) -> DramAddr {
@@ -271,7 +260,7 @@ mod tests {
         let mut done = Vec::new();
         while now < limit {
             let next = memory.tick(now);
-            done.extend(memory.take_completions());
+            memory.drain_completions_into(&mut done);
             if memory.idle() && memory.queued_requests() == 0 && !done.is_empty() {
                 break;
             }
@@ -282,8 +271,7 @@ mod tests {
 
     #[test]
     fn requests_are_routed_to_their_channel_shard() {
-        let dram = DramConfig::ddr4_multi_channel(2);
-        let mut memory = MemorySystem::new(dram, ControllerConfig::default(), &baseline_factory());
+        let mut memory = memory_system(MechanismKind::Baseline, DramConfig::ddr4_multi_channel(2));
         assert!(memory.enqueue(MemRequest::new(0, 0, addr(0, 10), false, 0)));
         assert!(memory.enqueue(MemRequest::new(1, 0, addr(1, 20), false, 0)));
         assert_eq!(memory.shard(0).queued_requests(), 1);
@@ -300,7 +288,7 @@ mod tests {
     #[test]
     fn single_channel_system_matches_bare_controller() {
         let dram = DramConfig::ddr4_paper_default();
-        let mut memory = MemorySystem::new(dram.clone(), ControllerConfig::default(), &baseline_factory());
+        let mut memory = memory_system(MechanismKind::Baseline, dram.clone());
         let mut bare =
             MemoryController::new(dram, ControllerConfig::default(), Box::new(NoMitigation::new()));
         for id in 0..8u64 {
@@ -315,8 +303,8 @@ mod tests {
             let a = memory.tick(now);
             let b = bare.tick(now);
             assert_eq!(a, b, "shard tick must match the bare controller at cycle {now}");
-            memory_done.extend(memory.take_completions());
-            bare_done.extend(bare.take_completions());
+            memory.drain_completions_into(&mut memory_done);
+            bare.drain_completions_into(&mut bare_done);
             now = a.max(now + 1);
             if memory.idle() && memory.queued_requests() == 0 {
                 break;
@@ -329,13 +317,8 @@ mod tests {
 
     #[test]
     fn shards_get_independent_mitigation_instances() {
-        let dram = DramConfig::ddr4_multi_channel(2);
-        let timing = dram.timing.clone();
-        let geometry = dram.geometry.clone();
-        let factory = FnFactory::new("PerRow", move |_channel| {
-            Box::new(PerRowCounters::new(100, &timing, geometry.clone()))
-        });
-        let mut memory = MemorySystem::new(dram, ControllerConfig::default(), &factory);
+        let mut memory = memory_system(MechanismKind::PerRow, DramConfig::ddr4_multi_channel(2));
+        let mut done = Vec::new();
         // Hammer two alternating rows on channel 0 only.
         let mut now = 0;
         let mut id = 0;
@@ -348,7 +331,8 @@ mod tests {
                 issued += 1;
             }
             now = memory.tick(now).max(now + 1);
-            memory.take_completions();
+            memory.drain_completions_into(&mut done);
+            done.clear();
             assert!(now < 10_000_000, "memory system failed to drain");
         }
         let per_channel = memory.per_channel_mitigation_stats();
@@ -363,8 +347,7 @@ mod tests {
 
     #[test]
     fn energy_counters_aggregate_across_shards() {
-        let dram = DramConfig::ddr4_multi_channel(2);
-        let mut memory = MemorySystem::new(dram, ControllerConfig::default(), &baseline_factory());
+        let mut memory = memory_system(MechanismKind::Baseline, DramConfig::ddr4_multi_channel(2));
         memory.enqueue(MemRequest::new(0, 0, addr(0, 1), false, 0));
         memory.enqueue(MemRequest::new(1, 0, addr(1, 1), false, 0));
         drain(&mut memory, 10_000);
@@ -379,6 +362,6 @@ mod tests {
     fn zero_channel_configuration_is_rejected() {
         let mut dram = DramConfig::ddr4_paper_default();
         dram.geometry.channels = 0;
-        let _ = MemorySystem::new(dram, ControllerConfig::default(), &baseline_factory());
+        let _ = memory_system(MechanismKind::Baseline, dram);
     }
 }

@@ -6,7 +6,11 @@ use comet_mitigations::MitigationStats;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one simulation run (one workload × one mechanism × one NRH).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// `Default` (all zeros, empty strings) lets a struct literal name only the
+/// fields it sets and end in `..Default::default()`, so adding a field does
+/// not break code that builds results by hand.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunResult {
     /// Workload / experiment label.
     pub label: String,
@@ -224,25 +228,7 @@ mod tests {
     use super::*;
 
     fn result(ipc: f64, energy: f64) -> RunResult {
-        RunResult {
-            label: "w".into(),
-            mechanism: "m".into(),
-            cores: 1,
-            dram_cycles: 1000,
-            cpu_cycles: 3000.0,
-            instructions: 3000,
-            per_core_ipc: vec![ipc],
-            ipc,
-            reads: 10,
-            writes: 5,
-            activations: 7,
-            avg_read_latency_ns: 50.0,
-            energy_nj: energy,
-            energy_breakdown: EnergyBreakdown::default(),
-            controller: ControllerStats::default(),
-            mitigation: MitigationStats::default(),
-            engine: EngineTelemetry::default(),
-        }
+        RunResult { cores: 1, per_core_ipc: vec![ipc], ipc, energy_nj: energy, ..Default::default() }
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! The mechanism registry: maps mechanism keys to factories that build one
-//! independent mitigation instance per memory-channel shard.
+//! The mechanism registry: the one way the simulator builds a mitigation.
 //!
-//! This replaces the hard-coded `build_mechanism` match the runner used to
-//! carry. The built-in set is installed by
-//! [`MechanismRegistry::with_defaults`], keyed by [`MechanismKind::key`];
+//! A registry maps [`MechanismKind::key`]s to builders. Its
+//! [`factory`](MechanismRegistry::factory) binds one builder to one (kind,
+//! threshold, seed, DRAM) combination as a [`RegisteredFactory`], which
+//! [`System::new`](crate::System::new) and
+//! [`MemorySystem::new`](crate::MemorySystem::new) call once per memory
+//! channel, so every channel gets its own independent instance. The built-in
+//! set is installed by [`MechanismRegistry::with_defaults`];
 //! [`Runner`](crate::Runner) resolves its `MechanismKind` arguments through
-//! those keys (re-registering a built-in key swaps the implementation the
-//! runner uses). Applications can also register constructors under *new*
-//! keys — outside the `MechanismKind` enum entirely — and build them with
-//! [`MechanismRegistry::factory_for_key`]; the returned factory plugs
-//! straight into [`System::new`](crate::System::new).
+//! it. Re-registering a built-in key swaps the implementation built for that
+//! kind, which is how a wrapper (for example a timing wrapper) is put around
+//! every mechanism.
 
 use crate::runner::{MechanismKind, RunnerError};
 use comet_core::{Comet, CometConfig};
 use comet_dram::DramConfig;
 use comet_mitigations::{
-    BlockHammer, BlockHammerConfig, Graphene, GrapheneConfig, Hydra, HydraConfig, MitigationFactory,
-    NoMitigation, Para, PerRowCounters, Rega, RowHammerMitigation,
+    BlockHammer, BlockHammerConfig, Graphene, GrapheneConfig, Hydra, HydraConfig, NoMitigation, Para,
+    PerRowCounters, Rega, RowHammerMitigation,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,10 +26,11 @@ use std::sync::Arc;
 /// channel shard.
 #[derive(Debug, Clone)]
 pub struct MechanismSpec {
-    /// Which mechanism (and with which custom parameters) to build. `None`
-    /// for factories created through
-    /// [`MechanismRegistry::factory_for_key`], whose builders carry their own
-    /// configuration.
+    /// Which mechanism (and with which custom parameters) to build. Always
+    /// `Some` in the specs builders receive, because
+    /// [`MechanismRegistry::factory`] is the only place that makes them. It
+    /// stays an `Option` because the repository benchmark (`repobench/`)
+    /// unwraps it; after ROADMAP item 4(b) it can be a plain `MechanismKind`.
     pub kind: Option<MechanismKind>,
     /// RowHammer threshold to defend against.
     pub nrh: u64,
@@ -75,9 +77,6 @@ impl MechanismRegistry {
             ))
         });
         registry.register("comet-custom", |spec, _channel| {
-            // Reached without a kind (`factory_for_key`) there are no custom
-            // parameters to apply, so this degrades to the default CoMeT —
-            // the same mechanism the `comet` key builds.
             let Some(MechanismKind::CometCustom {
                 n_hash,
                 n_counters,
@@ -87,10 +86,7 @@ impl MechanismRegistry {
                 eprt_percent,
             }) = spec.kind
             else {
-                return Box::new(Comet::new(
-                    CometConfig::for_threshold(spec.nrh, &spec.dram.timing),
-                    spec.dram.geometry.clone(),
-                ));
+                unreachable!("the comet-custom key is only reached through MechanismKind::CometCustom")
             };
             let mut config = CometConfig::with_reset_divisor(spec.nrh, reset_divisor, &spec.dram.timing);
             config.n_hash = n_hash;
@@ -130,9 +126,8 @@ impl MechanismRegistry {
     }
 
     /// Registers (or replaces) the builder for `key`. Re-registering a
-    /// built-in key ([`MechanismKind::key`]) swaps the implementation the
-    /// runner resolves for that kind; new keys are reachable through
-    /// [`factory_for_key`](Self::factory_for_key).
+    /// built-in key ([`MechanismKind::key`]) swaps the implementation built
+    /// for that kind. A key no [`MechanismKind`] names is never built.
     pub fn register(
         &mut self,
         key: impl Into<String>,
@@ -171,33 +166,6 @@ impl MechanismRegistry {
         })
     }
 
-    /// Creates the per-channel factory for an arbitrary registered key — the
-    /// extensibility path for mechanisms outside the [`MechanismKind`] enum.
-    /// The returned factory reports `name` and plugs directly into
-    /// [`System::new`](crate::System::new); the builder receives a spec with
-    /// `kind = None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunnerError::UnknownMechanism`] when no builder is
-    /// registered under `key`.
-    pub fn factory_for_key(
-        &self,
-        key: &str,
-        name: impl Into<String>,
-        nrh: u64,
-        dram: &DramConfig,
-        seed: u64,
-    ) -> Result<RegisteredFactory, RunnerError> {
-        let builder =
-            self.builders.get(key).cloned().ok_or_else(|| RunnerError::UnknownMechanism(key.to_string()))?;
-        Ok(RegisteredFactory {
-            name: name.into(),
-            spec: MechanismSpec { kind: None, nrh, seed, dram: dram.clone() },
-            builder,
-        })
-    }
-
     /// Builds a single mechanism instance for `channel` directly.
     ///
     /// # Errors
@@ -227,8 +195,8 @@ impl std::fmt::Debug for MechanismRegistry {
     }
 }
 
-/// A [`MitigationFactory`] bound to one registry entry and one
-/// (kind, threshold, seed, DRAM) combination.
+/// Builds the mechanism instance of each memory channel for one registry
+/// entry and one (kind, threshold, seed, DRAM) combination.
 pub struct RegisteredFactory {
     name: String,
     spec: MechanismSpec,
@@ -236,18 +204,19 @@ pub struct RegisteredFactory {
 }
 
 impl RegisteredFactory {
-    /// The spec the factory builds from.
-    pub fn spec(&self) -> &MechanismSpec {
-        &self.spec
-    }
-}
-
-impl MitigationFactory for RegisteredFactory {
-    fn name(&self) -> &str {
+    /// Short, stable mechanism name (matches the built instances' `name()`).
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn build(&self, channel: usize) -> Box<dyn RowHammerMitigation> {
+    /// Builds the mechanism instance protecting `channel`.
+    ///
+    /// Instances for different channels are independent: mutating one
+    /// channel's tracker state never affects another's. Probabilistic
+    /// mechanisms derive their per-channel randomness from `channel`
+    /// ([`MechanismSpec::channel_seed`]) so that channels do not replay
+    /// identical decision streams.
+    pub fn build(&self, channel: usize) -> Box<dyn RowHammerMitigation> {
         (self.builder)(&self.spec, channel)
     }
 }
@@ -331,40 +300,5 @@ mod tests {
         a.on_activation(&addr, 0, 1);
         assert_eq!(a.stats().activations_observed, 1);
         assert_eq!(b.stats().activations_observed, 0);
-    }
-
-    #[test]
-    fn custom_keys_are_reachable_and_run_a_system_end_to_end() {
-        use crate::system::{SimConfig, System};
-        use comet_trace::{catalog, SyntheticTrace, TraceSource};
-
-        // A mechanism outside the MechanismKind enum: an aggressive PerRow
-        // variant registered under its own key.
-        let mut registry = MechanismRegistry::with_defaults();
-        registry.register("perrow-half", |spec, _channel| {
-            Box::new(PerRowCounters::new(
-                (spec.nrh / 2).max(1),
-                &spec.dram.timing,
-                spec.dram.geometry.clone(),
-            ))
-        });
-
-        let mut config = SimConfig::quick_test();
-        config.sim_cycles = 100_000;
-        let factory = registry.factory_for_key("perrow-half", "PerRow", 250, &config.dram, 1).unwrap();
-        assert_eq!(factory.spec().kind, None);
-        let trace: Box<dyn TraceSource> = Box::new(SyntheticTrace::new(
-            catalog::workload("429.mcf").unwrap(),
-            config.dram.geometry.clone(),
-            1,
-        ));
-        let result = System::new(config, vec![trace], &factory).run("custom-key");
-        assert_eq!(result.mechanism, "PerRow");
-        assert!(result.ipc > 0.0);
-
-        // Unregistered keys report an error rather than panicking.
-        let err =
-            registry.factory_for_key("nope", "Nope", 250, &DramConfig::ddr4_paper_default(), 1).unwrap_err();
-        assert_eq!(err, RunnerError::UnknownMechanism("nope".to_string()));
     }
 }

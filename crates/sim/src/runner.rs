@@ -168,12 +168,12 @@ impl Runner {
     /// Creates a runner with an explicit seed (traces and probabilistic
     /// mechanisms derive their randomness from it).
     pub fn with_seed(config: SimConfig, seed: u64) -> Self {
-        Self::with_registry(config, seed, Arc::new(MechanismRegistry::with_defaults()))
-    }
-
-    /// Creates a runner resolving mechanisms through a custom registry.
-    pub fn with_registry(config: SimConfig, seed: u64, registry: Arc<MechanismRegistry>) -> Self {
-        Runner { config, seed, registry, loop_mode: LoopMode::default() }
+        Runner {
+            config,
+            seed,
+            registry: Arc::new(MechanismRegistry::with_defaults()),
+            loop_mode: LoopMode::default(),
+        }
     }
 
     /// Selects the simulation-loop mode (builder style). Results are
@@ -201,7 +201,7 @@ impl Runner {
         self.loop_mode
     }
 
-    /// The mechanism registry in use.
+    /// The registry the runner builds mechanisms from (the built-in set).
     pub fn registry(&self) -> &MechanismRegistry {
         &self.registry
     }
@@ -336,14 +336,6 @@ mod tests {
         let err = Runner::new(config).run_single_core("429.mcf", MechanismKind::Baseline, 1000).unwrap_err();
         assert!(matches!(err, RunnerError::InvalidConfig(_)), "{err:?}");
         assert!(err.to_string().contains("channels"));
-    }
-
-    #[test]
-    fn unregistered_mechanism_is_an_error() {
-        let registry = Arc::new(crate::registry::MechanismRegistry::empty());
-        let r = Runner::with_registry(SimConfig::quick_test(), 1, registry);
-        let err = r.run_single_core("429.mcf", MechanismKind::Hydra, 1000).unwrap_err();
-        assert_eq!(err, RunnerError::UnknownMechanism("hydra".to_string()));
     }
 
     #[test]

@@ -4,8 +4,9 @@ use crate::controller::{ControllerConfig, ControllerStats};
 use crate::cpu::{BlockedOn, CoreConfig, TraceCore};
 use crate::memory::MemorySystem;
 use crate::metrics::{EngineTelemetry, RunResult};
+use crate::registry::RegisteredFactory;
 use comet_dram::{ChannelStats, Cycle, DramConfig, EnergyCounters};
-use comet_mitigations::{MitigationFactory, MitigationStats};
+use comet_mitigations::MitigationStats;
 use comet_trace::TraceSource;
 
 /// Simulation-level configuration: which DRAM preset to use and how long to run.
@@ -104,11 +105,6 @@ impl SimConfig {
     /// Total simulated DRAM cycles (warmup + measurement).
     pub fn total_cycles(&self) -> Cycle {
         self.warmup_cycles + self.sim_cycles
-    }
-
-    /// Simulated measurement time in milliseconds.
-    pub fn sim_time_ms(&self) -> f64 {
-        self.dram.timing.cycles_to_ns(self.sim_cycles) / 1.0e6
     }
 }
 
@@ -234,11 +230,7 @@ impl System {
     /// Panics if `traces` is empty or the configuration fails
     /// [`SimConfig::validate`]. The [`Runner`](crate::Runner) validates
     /// configurations up front and returns a `RunnerError` instead.
-    pub fn new(
-        config: SimConfig,
-        traces: Vec<Box<dyn TraceSource>>,
-        mitigation: &dyn MitigationFactory,
-    ) -> Self {
+    pub fn new(config: SimConfig, traces: Vec<Box<dyn TraceSource>>, mitigation: &RegisteredFactory) -> Self {
         assert!(!traces.is_empty(), "at least one core is required");
         let problems = config.validate();
         assert!(problems.is_empty(), "invalid simulation configuration: {problems:?}");
@@ -450,23 +442,26 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comet_mitigations::{FnFactory, NoMitigation};
+    use crate::registry::MechanismRegistry;
+    use crate::runner::MechanismKind;
     use comet_trace::{catalog, SyntheticTrace};
 
     fn trace(name: &str, seed: u64, dram: &DramConfig) -> Box<dyn TraceSource> {
         Box::new(SyntheticTrace::new(catalog::workload(name).unwrap(), dram.geometry.clone(), seed))
     }
 
-    fn baseline() -> FnFactory {
-        FnFactory::new("Baseline", |_channel| Box::new(NoMitigation::new()))
+    /// An unprotected system running `traces`.
+    fn baseline(config: SimConfig, traces: Vec<Box<dyn TraceSource>>) -> System {
+        let registry = MechanismRegistry::with_defaults();
+        let factory = registry.factory(MechanismKind::Baseline, 1000, &config.dram, 1).unwrap();
+        System::new(config, traces, &factory)
     }
 
     #[test]
     fn single_core_run_produces_sane_metrics() {
         let config = SimConfig::quick_test();
         let t = trace("429.mcf", 1, &config.dram);
-        let system = System::new(config, vec![t], &baseline());
-        let result = system.run("mcf-baseline");
+        let result = baseline(config, vec![t]).run("mcf-baseline");
         assert!(result.ipc > 0.05 && result.ipc < 4.0, "ipc = {}", result.ipc);
         assert!(result.reads > 100, "reads = {}", result.reads);
         assert!(result.activations > 10);
@@ -477,10 +472,8 @@ mod tests {
     #[test]
     fn low_intensity_workload_has_higher_ipc_than_high_intensity() {
         let config = SimConfig::quick_test();
-        let low =
-            System::new(config.clone(), vec![trace("541.leela", 3, &config.dram)], &baseline()).run("low");
-        let high =
-            System::new(config.clone(), vec![trace("bfs_ny", 3, &config.dram)], &baseline()).run("high");
+        let low = baseline(config.clone(), vec![trace("541.leela", 3, &config.dram)]).run("low");
+        let high = baseline(config.clone(), vec![trace("bfs_ny", 3, &config.dram)]).run("high");
         assert!(
             low.ipc > high.ipc,
             "low-intensity IPC {} must exceed high-intensity IPC {}",
@@ -495,8 +488,7 @@ mod tests {
         config.sim_cycles = 150_000;
         let traces: Vec<Box<dyn TraceSource>> =
             (0..8).map(|i| trace("450.soplex", i as u64, &config.dram)).collect();
-        let system = System::new(config, traces, &baseline());
-        let result = system.run("soplex-x8");
+        let result = baseline(config, traces).run("soplex-x8");
         assert_eq!(result.cores, 8);
         assert_eq!(result.per_core_ipc.len(), 8);
         assert!(result.ipc > 0.0);
@@ -518,8 +510,7 @@ mod tests {
         let config = SimConfig::quick_test().with_channels(2);
         assert_eq!(config.channels(), 2);
         let t = trace("429.mcf", 1, &config.dram);
-        let system = System::new(config, vec![t], &baseline());
-        assert_eq!(system.channel_count(), 2);
+        assert_eq!(baseline(config, vec![t]).channel_count(), 2);
     }
 
     #[test]
@@ -531,13 +522,13 @@ mod tests {
         let one = {
             let traces: Vec<Box<dyn TraceSource>> =
                 (0..8).map(|i| trace("bfs_ny", i as u64, &config.dram)).collect();
-            System::new(config.clone(), traces, &baseline()).run("one-channel")
+            baseline(config.clone(), traces).run("one-channel")
         };
         let four_config = config.clone().with_channels(4);
         let four = {
             let traces: Vec<Box<dyn TraceSource>> =
                 (0..8).map(|i| trace("bfs_ny", i as u64, &four_config.dram)).collect();
-            System::new(four_config, traces, &baseline()).run("four-channels")
+            baseline(four_config, traces).run("four-channels")
         };
         assert!(
             four.ipc > one.ipc,

@@ -128,21 +128,6 @@ impl Histogram {
         core.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merges pre-aggregated per-bucket counts (non-cumulative, with the
-    /// trailing `+Inf` bucket — `bounds().len() + 1` entries). This is how a
-    /// hot loop that tallied into a plain local array publishes in one shot.
-    pub fn add_counts(&self, counts: &[u64], sum: f64, count: u64) {
-        let core = &self.0;
-        assert_eq!(counts.len(), core.buckets.len(), "bucket count mismatch");
-        for (slot, &n) in core.buckets.iter().zip(counts) {
-            if n > 0 {
-                slot.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        core.add_sum(sum);
-        core.count.fetch_add(count, Ordering::Relaxed);
-    }
-
     /// The finite bucket upper bounds.
     pub fn bounds(&self) -> &[f64] {
         &self.0.bounds
@@ -397,16 +382,6 @@ mod tests {
         h.observe(50.0);
         assert_eq!(h.count(), 3);
         assert!((h.sum() - 55.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_add_counts_merges_bulk_tallies() {
-        let registry = Registry::new();
-        let h = registry.histogram("win", "Windows.", &[4.0, 16.0]);
-        h.add_counts(&[7, 2, 1], 120.0, 10);
-        h.add_counts(&[1, 0, 0], 2.0, 1);
-        assert_eq!(h.count(), 11);
-        assert!((h.sum() - 122.0).abs() < 1e-9);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! serial one, cell for cell.
 
 use comet::dram::Cycle;
-use comet::mitigations::{FnFactory, MitigationFactory, MitigationStats};
+use comet::mitigations::MitigationStats;
 use comet::sim::experiments::{comparison::comparison_for, ExperimentScope, ParallelExecutor};
 use comet::sim::{
-    ControllerStats, MechanismKind, MechanismRegistry, MemoryController, Runner, SimConfig, System, TraceCore,
+    ControllerStats, MechanismKind, MechanismRegistry, MemoryController, RegisteredFactory, Runner,
+    SimConfig, System, TraceCore,
 };
 use comet::trace::{catalog, SyntheticTrace, TraceSource};
 
@@ -29,7 +30,7 @@ struct ReferenceResult {
 fn run_reference(
     config: &SimConfig,
     mut traces: Vec<Box<dyn TraceSource>>,
-    factory: &dyn MitigationFactory,
+    factory: &RegisteredFactory,
 ) -> ReferenceResult {
     assert_eq!(config.warmup_cycles, 0, "the reference loop models the zero-warmup path");
     assert_eq!(config.channels(), 1, "the reference loop drives exactly one controller");
@@ -43,8 +44,10 @@ fn run_reference(
 
     let end = config.total_cycles();
     let mut now: Cycle = 0;
+    let mut completions = Vec::new();
     while now < end {
-        for completion in controller.take_completions() {
+        controller.drain_completions_into(&mut completions);
+        for completion in completions.drain(..) {
             cores[completion.core].note_completion(completion.id, completion.completion);
         }
         let mut earliest_core: Option<Cycle> = None;
@@ -134,26 +137,6 @@ fn single_channel_sharded_system_reproduces_legacy_results_probabilistic() {
 #[test]
 fn single_channel_sharded_system_reproduces_legacy_results_multicore() {
     assert_sharding_equivalent("450.soplex", MechanismKind::Comet, 4, 250);
-}
-
-#[test]
-fn factory_built_instances_match_directly_boxed_mechanisms() {
-    // The registry path (factory, channel 0) and a hand-built mechanism are
-    // the same object state-wise: simulation results must agree.
-    let config = config();
-    let registry = MechanismRegistry::with_defaults();
-    let factory = registry.factory(MechanismKind::Comet, 250, &config.dram, 0xC0E7).unwrap();
-    let via_registry = System::new(config.clone(), traces("433.milc", 1, &config), &factory).run("r");
-    let direct_factory = FnFactory::new("CoMeT", {
-        let registry = registry.clone();
-        let dram = config.dram.clone();
-        move |channel| registry.build(MechanismKind::Comet, 250, &dram, 0xC0E7, channel).unwrap()
-    });
-    let via_fn_factory =
-        System::new(config.clone(), traces("433.milc", 1, &config), &direct_factory).run("f");
-    assert_eq!(via_registry.instructions, via_fn_factory.instructions);
-    assert_eq!(via_registry.mitigation, via_fn_factory.mitigation);
-    assert!((via_registry.ipc - via_fn_factory.ipc).abs() < 1e-12);
 }
 
 #[test]
