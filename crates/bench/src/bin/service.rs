@@ -48,7 +48,7 @@ fn main() {
 
 #[cfg(unix)]
 mod unix {
-    use comet_service::protocol::{LineConn, LineEvent};
+    use comet_service::protocol::{backoff_jitter_ms, LineConn, LineEvent};
     use serde::Value;
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
@@ -247,20 +247,6 @@ mod unix {
         }
     }
 
-    /// Deterministic jitter in `[0, base)`: hashed from the pid and attempt
-    /// number, so concurrent clients desynchronize without randomness.
-    fn jitter_ms(base: u64, attempt: u32) -> u64 {
-        if base == 0 {
-            return 0;
-        }
-        let mut hash = 0xcbf29ce484222325u64;
-        for byte in std::process::id().to_le_bytes().into_iter().chain((attempt as u64).to_le_bytes()) {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        hash % base
-    }
-
     /// Pulls one metrics exposition over the line protocol and renders it
     /// as the aligned two-column table.
     fn metrics_table(args: &Args, line: &str) -> Result<String, String> {
@@ -337,7 +323,9 @@ mod unix {
             }
             let hinted = value.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(args.backoff_ms);
             let base = hinted.max(args.backoff_ms) << retries_used.min(6);
-            let delay = base + jitter_ms(base, retries_used);
+            // Hashed from the pid, so concurrent clients desynchronize
+            // without randomness.
+            let delay = base + backoff_jitter_ms(std::process::id() as u64, base, retries_used);
             eprintln!("service: overloaded; retry {} in {delay} ms", retries_used + 1);
             std::thread::sleep(std::time::Duration::from_millis(delay));
             retries_used += 1;

@@ -81,29 +81,6 @@ impl Rank {
         bank_group * self.banks_per_bank_group + bank
     }
 
-    /// The rank-level part of the ACT timing constraint for a bank of
-    /// `bank_group`: tRRD_S after any ACT in the rank, tRRD_L after an ACT in
-    /// the same group, the tFAW four-activation window, and the refresh busy
-    /// time. Independent of the target bank and of the query time, so
-    /// event-driven controllers can memoize it per bank group:
-    /// `earliest_issue(Act, g, b, now) == max(now, act_constraint(g),
-    /// bank(g, b).earliest_issue(Act, 0))`.
-    pub fn act_constraint(&self, bank_group: usize, t: &TimingParams) -> Cycle {
-        let mut earliest = self.busy_until;
-        if let Some(a) = self.last_act_any {
-            earliest = earliest.max(a + t.t_rrd_s);
-        }
-        if let Some(a) = self.last_act_per_group[bank_group] {
-            earliest = earliest.max(a + t.t_rrd_l);
-        }
-        if self.recent_acts.len() == 4 {
-            if let Some(&a) = self.recent_acts.front() {
-                earliest = earliest.max(a + t.t_faw);
-            }
-        }
-        earliest
-    }
-
     /// Earliest cycle at which `cmd` targeting `(bank_group, bank)` satisfies both
     /// the bank-local and the rank-level timing constraints.
     pub fn earliest_issue(
@@ -265,16 +242,6 @@ mod tests {
         // Different bank group: tRRD_S.
         let e = r.earliest_issue(CommandKind::Act, 1, 0, 0, &t);
         assert_eq!(e, t.t_rrd_s);
-        // The memoizable decomposition reproduces the full computation.
-        for (group, bank) in [(0usize, 1usize), (1, 0)] {
-            let full = r.earliest_issue(CommandKind::Act, group, bank, 0, &t);
-            let split = r.act_constraint(group, &t).max(r.bank(group * 4 + bank).earliest_issue(
-                CommandKind::Act,
-                0,
-                &t,
-            ));
-            assert_eq!(full, split);
-        }
     }
 
     #[test]

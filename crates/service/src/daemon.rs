@@ -368,9 +368,20 @@ impl Daemon {
     ) -> std::io::Result<()> {
         let unix = match unix_path {
             Some(path) => {
-                // A stale socket file from a previous run would make bind fail.
-                let _ = std::fs::remove_file(path);
-                Some(std::os::unix::net::UnixListener::bind(path)?)
+                // Bind under a staging name and rename into place, so the
+                // socket file appears only once it is listening: `bind`
+                // creates the file before it calls listen(2), and a client
+                // that waits for the file and connects in between is
+                // refused. The rename also replaces a stale socket file
+                // from a previous run, which would make bind fail.
+                let mut staging = path.as_os_str().to_owned();
+                staging.push(".tmp");
+                let _ = std::fs::remove_file(&staging);
+                let listener = std::os::unix::net::UnixListener::bind(&staging)?;
+                std::fs::rename(&staging, path).inspect_err(|_| {
+                    let _ = std::fs::remove_file(&staging);
+                })?;
+                Some(listener)
             }
             None => None,
         };
@@ -408,13 +419,18 @@ impl Daemon {
             self.spawn_workers(scope);
             let mut accepts = Vec::new();
             if let Some(listener) = &unix {
-                accepts.push(scope.spawn(move || self.accept_unix(scope, listener)));
+                let accept = || listener.accept().map(|(stream, _)| stream);
+                accepts.push(scope.spawn(move || self.accept_loop(scope, "unix", accept, Self::handle_unix)));
             }
             if let Some(listener) = &tcp {
-                accepts.push(scope.spawn(move || self.accept_tcp(scope, listener)));
+                let accept = || listener.accept().map(|(stream, _)| stream);
+                accepts.push(scope.spawn(move || self.accept_loop(scope, "tcp", accept, Self::handle_tcp)));
             }
             if let Some(listener) = &metrics {
-                accepts.push(scope.spawn(move || self.accept_metrics(scope, listener)));
+                let accept = || listener.accept().map(|(stream, _)| stream);
+                accepts.push(
+                    scope.spawn(move || self.accept_loop(scope, "metrics", accept, Self::handle_metrics)),
+                );
             }
             for accept in accepts {
                 let _ = accept.join();
@@ -426,20 +442,25 @@ impl Daemon {
         Ok(())
     }
 
+    /// Polls one non-blocking listener until shutdown and serves each
+    /// accepted connection with `handle` on a thread of its own. `what`
+    /// names the listener in log lines.
     #[cfg(unix)]
-    fn accept_unix<'scope>(
+    fn accept_loop<'scope, S: Send + 'scope>(
         &'scope self,
         scope: &'scope std::thread::Scope<'scope, '_>,
-        listener: &std::os::unix::net::UnixListener,
+        what: &'static str,
+        accept: impl Fn() -> std::io::Result<S>,
+        handle: fn(&Self, S) -> std::io::Result<()>,
     ) {
         while !self.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, _)) => {
+            match accept() {
+                Ok(stream) => {
                     // A connection-level IO error (client hung up mid-write)
                     // never kills the daemon.
                     scope.spawn(move || {
-                        if let Err(error) = self.handle_unix(stream) {
-                            eprintln!("comet-serviced: connection error: {error}");
+                        if let Err(error) = handle(self, stream) {
+                            eprintln!("comet-serviced: {what} connection error: {error}");
                         }
                     });
                 }
@@ -447,62 +468,7 @@ impl Daemon {
                     std::thread::sleep(std::time::Duration::from_millis(25));
                 }
                 Err(error) => {
-                    eprintln!("comet-serviced: accept error: {error}");
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                }
-            }
-        }
-    }
-
-    #[cfg(unix)]
-    fn accept_tcp<'scope>(
-        &'scope self,
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        listener: &std::net::TcpListener,
-    ) {
-        while !self.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    scope.spawn(move || {
-                        if let Err(error) = self.handle_tcp(stream) {
-                            eprintln!("comet-serviced: connection error: {error}");
-                        }
-                    });
-                }
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                }
-                Err(error) => {
-                    eprintln!("comet-serviced: accept error: {error}");
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                }
-            }
-        }
-    }
-
-    /// Accept loop for the Prometheus scrape listener. Each connection gets
-    /// one hand-rolled HTTP response and is closed — scrape endpoints need
-    /// no keep-alive, routing, or method handling.
-    #[cfg(unix)]
-    fn accept_metrics<'scope>(
-        &'scope self,
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        listener: &std::net::TcpListener,
-    ) {
-        while !self.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    scope.spawn(move || {
-                        if let Err(error) = self.handle_metrics(stream) {
-                            eprintln!("comet-serviced: metrics connection error: {error}");
-                        }
-                    });
-                }
-                Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                }
-                Err(error) => {
-                    eprintln!("comet-serviced: metrics accept error: {error}");
+                    eprintln!("comet-serviced: {what} accept error: {error}");
                     std::thread::sleep(std::time::Duration::from_millis(100));
                 }
             }
@@ -510,10 +476,11 @@ impl Daemon {
     }
 
     /// Answers one scrape connection with an HTTP/1.0 response carrying the
-    /// full text exposition. The request head is drained best-effort and
-    /// ignored: the endpoint is read-only and serves the same body for every
-    /// path, so even a bare `GET /metrics` with no headers — or no request
-    /// at all — gets the exposition.
+    /// full text exposition, then closes it: a scrape endpoint needs no
+    /// keep-alive, routing, or method handling. The request head is drained
+    /// best-effort and ignored: the endpoint is read-only and serves the
+    /// same body for every path, so even a bare `GET /metrics` with no
+    /// headers — or no request at all — gets the exposition.
     #[cfg(unix)]
     fn handle_metrics(&self, mut stream: std::net::TcpStream) -> std::io::Result<()> {
         stream.set_nonblocking(false)?;
@@ -666,6 +633,43 @@ mod tests {
         serving.join().unwrap().unwrap();
         assert!(daemon.is_shutdown());
         drop(idle);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The socket file appears only once the daemon listens, so a client
+    /// that connects the moment the file exists is never refused. Binding
+    /// at the final path creates the file before listen(2), and a client
+    /// polling for it was refused in most start-ups.
+    #[cfg(unix)]
+    #[test]
+    fn socket_file_appears_only_once_the_daemon_listens() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+
+        let dir = std::env::temp_dir().join(format!("comet-daemon-bind-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("daemon.sock");
+        for _ in 0..20 {
+            let daemon = Arc::new(daemon());
+            let serving = {
+                let daemon = daemon.clone();
+                let socket = socket.clone();
+                std::thread::spawn(move || daemon.serve_unix(&socket))
+            };
+            // Poll with short sleeps, as a waiting client does: a sleeper
+            // that wakes can preempt the daemon between bind and listen.
+            while !socket.exists() {
+                assert!(!serving.is_finished(), "the daemon stopped before binding its socket");
+                std::thread::sleep(std::time::Duration::from_micros(20));
+            }
+            let mut client = UnixStream::connect(&socket).expect("a visible socket file accepts connections");
+            writeln!(client, "{{\"op\":\"shutdown\",\"id\":1}}").unwrap();
+            let mut line = String::new();
+            BufReader::new(client.try_clone().unwrap()).read_line(&mut line).unwrap();
+            assert!(line.contains("\"shutdown\":true"), "{line}");
+            drop(client);
+            serving.join().unwrap().unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

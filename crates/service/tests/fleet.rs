@@ -282,10 +282,11 @@ fn duplicate_completions_after_lease_expiry_are_absorbed() {
             let mut sleeper = ManualWorker::connect(addr);
             let mut survivor = ManualWorker::connect(addr);
             let run = scope.spawn(|| daemon.service().run_cells(&runner, &cells));
-            // The sleeper takes the lease, simulates the cell... and stalls
-            // without heartbeating. Its connection stays open.
+            // The sleeper takes the lease and stalls without heartbeating.
+            // Its connection stays open. It simulates the cell only when it
+            // wakes: simulating here could outlast the lease timeout while
+            // the survivor, not yet heartbeating, would be deregistered.
             let (sleeper_key, _, sleeper_payload) = sleeper.pull_job("the first delivery");
-            let sleeper_result = simulate_payload(&sleeper_payload);
             // The survivor heartbeats (staying live) until the sleeper's
             // lease expires and the cell is redelivered to it.
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -303,6 +304,7 @@ fn duplicate_completions_after_lease_expiry_are_absorbed() {
             assert!(!results.is_empty());
             // The sleeper wakes up and reports late: refused, not absorbed
             // twice.
+            let sleeper_result = simulate_payload(&sleeper_payload);
             assert!(
                 !sleeper.complete(&sleeper_key, &sleeper_result),
                 "a post-expiry duplicate completion must be refused as stale"

@@ -38,8 +38,8 @@
 //!   recomputation — and evaluates only the candidates whose bound has
 //!   matured (the ready set). A pass walks its class queue in seq order:
 //!   skip blocked (fold the bound into the next-event time), evaluate
-//!   matured (memoized ACT/PRE constraint caches below), issue the first
-//!   legal one.
+//!   matured (one `DramChannel::earliest_issue` call, the only source of
+//!   command timing), issue the first legal one.
 //!
 //! Scheduling passes run in the historical order — column hits (FR) for the
 //! write-drain-preferred kind then the other kind, then activations and
@@ -71,7 +71,6 @@ use crate::metrics::{BankQueueDepth, SchedulerPressure};
 use crate::request::{CompletedRead, MemRequest};
 use comet_dram::{
     CommandKind, Cycle, DramAddr, DramChannel, DramConfig, DramGeometry, EnergyCounters, RefreshScheduler,
-    TimingParams,
 };
 use comet_mitigations::{MitigationResponse, RowHammerMitigation};
 use std::collections::VecDeque;
@@ -254,9 +253,6 @@ struct HitCounts {
     writes: u32,
 }
 
-/// The lane is not a member of the pending set.
-const NOT_PENDING: u32 = u32::MAX;
-
 /// "No candidate" marker in [`LaneSched::cand_seq`].
 const NO_CAND: u64 = u64::MAX;
 
@@ -277,8 +273,6 @@ struct BankLane {
     writes: VecDeque<Queued>,
     /// Open-row hits currently queued in this lane, split by kind.
     hits: HitCounts,
-    /// Index of this lane in `pending` ([`NOT_PENDING`] when empty).
-    pending_pos: u32,
     /// Highest queued demand count (reads + writes) ever observed, a
     /// per-bank pressure metric for sweep reports.
     depth_peak: u32,
@@ -290,7 +284,6 @@ impl BankLane {
             reads: VecDeque::new(),
             writes: VecDeque::new(),
             hits: HitCounts::default(),
-            pending_pos: NOT_PENDING,
             depth_peak: 0,
         }
     }
@@ -336,8 +329,6 @@ struct LaneSched {
     holds_valid: Cycle,
     /// Arrival seq of the four class candidates ([`NO_CAND`] when absent).
     cand_seq: [u64; 4],
-    /// FIFO index of each candidate within its kind's queue.
-    cand_index: [u16; 4],
     /// Column accesses served since the last activation (for the column cap).
     columns_since_act: u32,
     /// Whether the lane awaits a candidate recompute (member of `dirty`).
@@ -346,13 +337,7 @@ struct LaneSched {
 
 impl LaneSched {
     fn new() -> Self {
-        LaneSched {
-            holds_valid: Cycle::MAX,
-            cand_seq: [NO_CAND; 4],
-            cand_index: [0; 4],
-            columns_since_act: 0,
-            dirty: false,
-        }
+        LaneSched { holds_valid: Cycle::MAX, cand_seq: [NO_CAND; 4], columns_since_act: 0, dirty: false }
     }
 }
 
@@ -375,24 +360,11 @@ struct ClassCand {
     index: u16,
 }
 
-/// A memoized timing-constraint value stamped with the command sequence
-/// number it was computed under (`seq == 0` never matches, marking the entry
-/// invalid). ACT/PRE constraints only change when a command is issued to the
-/// covered bank or rank, so a stamped entry stays exact until its sequence
-/// counter moves.
-#[derive(Debug, Clone, Copy, Default)]
-struct CachedConstraint {
-    at: Cycle,
-    seq: u64,
-}
-
 /// The memory controller for one DRAM channel.
 pub struct MemoryController {
     config: ControllerConfig,
-    /// DRAM timing, copied out of the channel config at construction so the
-    /// scheduling passes never clone it per call.
-    timing: TimingParams,
-    /// DRAM geometry, copied for the same reason (flat-bank decoding).
+    /// DRAM geometry, copied out of the channel config at construction so
+    /// flat-bank decoding never goes through the channel.
     geometry: DramGeometry,
     channel: DramChannel,
     refresh: RefreshScheduler,
@@ -412,9 +384,9 @@ pub struct MemoryController {
     /// candidate memo expires (`Cycle::MAX` when nothing is held). May fire
     /// spuriously early after holds are cleared; a firing re-derives it.
     next_hold_check: Cycle,
-    /// Banks with at least one queued demand request (dense set; order is
-    /// irrelevant because arbitration orders by candidate seq, not by lane).
-    pending: Vec<u16>,
+    /// Number of lanes with at least one queued demand request (for the
+    /// `pending_lanes_max` gauge).
+    busy_lanes: u32,
     /// Next arrival sequence number (strictly increasing per accepted request).
     next_seq: u64,
     /// Queued demand reads across all lanes.
@@ -429,17 +401,6 @@ pub struct MemoryController {
     rank_refresh_pending: Option<usize>,
     /// Shadow of each bank's open row, updated on ACT/PRE/PREA issue.
     open_rows: Vec<Option<usize>>,
-    /// Rank-state-changing commands per rank (invalidation stamp).
-    rank_seq: Vec<u64>,
-    /// Commands issued per bank (invalidation stamp).
-    bank_seq: Vec<u64>,
-    /// Memoized bank-local ACT constraints (tRC/tRP), stamped by `bank_seq`.
-    bank_act_c: Vec<CachedConstraint>,
-    /// Memoized bank-local PRE constraints (tRAS/tRTP/tWR), stamped by `bank_seq`.
-    bank_pre_c: Vec<CachedConstraint>,
-    /// Memoized rank-level ACT constraints per bank group (tRRD/tFAW/busy),
-    /// indexed `rank * groups_per_rank + group`, stamped by `rank_seq`.
-    group_act_c: Vec<CachedConstraint>,
     draining_writes: bool,
     completions: Vec<CompletedRead>,
     stats: ControllerStats,
@@ -450,15 +411,13 @@ pub struct MemoryController {
     tick_evals: u32,
     /// Extra energy events for metadata traffic not issued through the channel.
     extra_energy: EnergyCounters,
-    last_tick: Cycle,
 }
 
 impl MemoryController {
     /// Creates a controller for `dram` protected by `mitigation`.
     pub fn new(dram: DramConfig, config: ControllerConfig, mitigation: Box<dyn RowHammerMitigation>) -> Self {
-        let timing = dram.timing.clone();
         let geometry = dram.geometry.clone();
-        let refresh = RefreshScheduler::new(geometry.ranks_per_channel, &timing);
+        let refresh = RefreshScheduler::new(geometry.ranks_per_channel, &dram.timing);
         let banks = geometry.banks_per_channel();
         let ranks = geometry.ranks_per_channel;
         let groups = geometry.bank_groups_per_rank;
@@ -475,7 +434,6 @@ impl MemoryController {
         );
         MemoryController {
             config,
-            timing,
             geometry,
             channel: DramChannel::new(dram),
             refresh,
@@ -485,7 +443,7 @@ impl MemoryController {
             class_queues: std::array::from_fn(|_| Vec::with_capacity(banks)),
             dirty: Vec::with_capacity(banks),
             next_hold_check: Cycle::MAX,
-            pending: Vec::with_capacity(banks),
+            busy_lanes: 0,
             next_seq: 0,
             read_len: 0,
             write_len: 0,
@@ -493,18 +451,12 @@ impl MemoryController {
             preventive_open: None,
             rank_refresh_pending: None,
             open_rows: vec![None; banks],
-            rank_seq: vec![1; ranks],
-            bank_seq: vec![1; banks],
-            bank_act_c: vec![CachedConstraint::default(); banks],
-            bank_pre_c: vec![CachedConstraint::default(); banks],
-            group_act_c: vec![CachedConstraint::default(); ranks * groups],
             draining_writes: false,
             completions: Vec::new(),
             stats: ControllerStats::default(),
             pressure: SchedulerPressure::default(),
             tick_evals: 0,
             extra_energy: EnergyCounters::default(),
-            last_tick: 0,
         }
     }
 
@@ -628,10 +580,9 @@ impl MemoryController {
             }
         }
         lane.depth_peak = lane.depth_peak.max(lane.queued() as u32);
-        if lane.pending_pos == NOT_PENDING {
-            lane.pending_pos = self.pending.len() as u32;
-            self.pending.push(bank as u16);
-            self.pressure.pending_lanes_max = self.pressure.pending_lanes_max.max(self.pending.len() as u32);
+        if lane.queued() == 1 {
+            self.busy_lanes += 1;
+            self.pressure.pending_lanes_max = self.pressure.pending_lanes_max.max(self.busy_lanes);
         }
         // Appending the youngest entry never changes existing candidates
         // (it loses every FCFS comparison) and never relaxes timing, so the
@@ -652,7 +603,6 @@ impl MemoryController {
             let sched = &mut self.sched[bank];
             if sched.cand_seq[class] == NO_CAND {
                 sched.cand_seq[class] = seq;
-                sched.cand_index[class] = index as u16;
                 self.class_queues[class].push(ClassCand {
                     seq,
                     blocked_until: 0,
@@ -662,20 +612,6 @@ impl MemoryController {
             }
         }
         true
-    }
-
-    /// Removes `bank` from the pending set when its lane just became empty.
-    fn after_dequeue(&mut self, bank: usize) {
-        let lane = &self.lanes[bank];
-        if lane.queued() > 0 || lane.pending_pos == NOT_PENDING {
-            return;
-        }
-        let pos = lane.pending_pos as usize;
-        self.lanes[bank].pending_pos = NOT_PENDING;
-        self.pending.swap_remove(pos);
-        if let Some(&moved) = self.pending.get(pos) {
-            self.lanes[moved as usize].pending_pos = pos as u32;
-        }
     }
 
     /// Number of requests currently queued (reads + writes).
@@ -703,35 +639,24 @@ impl MemoryController {
         addr.flat_bank(&self.geometry)
     }
 
-    /// Updates the open-row shadow, hit counts, ready-cache invalidation
-    /// stamps, and lane ready bounds after `cmd` was issued to `addr`. Must
-    /// be called for every command handed to the channel.
+    /// Updates the open-row shadow and hit counts after `cmd` was issued to
+    /// `addr`, and marks the lanes of every bank it touched dirty. Must be
+    /// called for every command handed to the channel.
     fn note_issued(&mut self, cmd: CommandKind, addr: &DramAddr) {
-        // Drop the memoized ready times the command can have tightened: only
-        // ACT moves the rank-level ACT constraints (tRRD, tFAW) and only REF
-        // makes the rank busy, while every command updates its own bank's
-        // history (tRC/tRP for ACT, tRAS/tRTP/tWR for PRE). PREA and REF
-        // touch every bank of the rank. A command issued to a bank is also
-        // the only event (besides enqueue) that can make the bank's lane
-        // issuable *earlier* than recorded, so the same arms reset the
-        // lane's ready bound.
-        match cmd {
-            CommandKind::Act | CommandKind::Ref | CommandKind::PreAll => {
-                self.rank_seq[addr.rank] += 1;
-            }
-            _ => {}
-        }
+        // A command issued to a bank is the only event (besides enqueue and
+        // holds) that can make the bank's lane issuable *earlier* than its
+        // recorded bounds: commands to other banks only ever move this
+        // bank's constraints later. PREA and REF touch every bank of the
+        // rank.
         match cmd {
             CommandKind::PreAll | CommandKind::Ref => {
                 let banks_per_rank = self.geometry.banks_per_rank();
                 for bank in addr.rank * banks_per_rank..(addr.rank + 1) * banks_per_rank {
-                    self.bank_seq[bank] += 1;
                     self.mark_dirty(bank);
                 }
             }
             _ => {
                 let bank = self.flat_bank(addr);
-                self.bank_seq[bank] += 1;
                 self.mark_dirty(bank);
             }
         }
@@ -779,75 +704,6 @@ impl MemoryController {
         lane.hits = fresh;
     }
 
-    /// Earliest cycle an ACT for `addr` can issue, from memoized constraint
-    /// parts: the bank-local part (tRC/tRP, stamped by the bank's command
-    /// sequence) and the rank-level part (tRRD/tFAW/refresh busy, stamped by
-    /// the rank's). Exact, not heuristic — the decomposition equals
-    /// [`DramChannel::earliest_issue`] (asserted in debug builds, and
-    /// `issue` re-validates timing independently, so a stale cache would
-    /// panic rather than corrupt the simulation).
-    fn cached_act_at(&mut self, bank: usize, addr: &DramAddr, now: Cycle) -> Cycle {
-        let bank_c = {
-            let cached = self.bank_act_c[bank];
-            if cached.seq == self.bank_seq[bank] {
-                cached.at
-            } else {
-                let at = self.channel.rank(addr.rank).bank(addr.bank_in_rank(&self.geometry)).earliest_issue(
-                    CommandKind::Act,
-                    0,
-                    &self.timing,
-                );
-                self.bank_act_c[bank] = CachedConstraint { at, seq: self.bank_seq[bank] };
-                at
-            }
-        };
-        let group_index = addr.rank * self.geometry.bank_groups_per_rank + addr.bank_group;
-        let group_c = {
-            let cached = self.group_act_c[group_index];
-            if cached.seq == self.rank_seq[addr.rank] {
-                cached.at
-            } else {
-                let at = self.channel.rank(addr.rank).act_constraint(addr.bank_group, &self.timing);
-                self.group_act_c[group_index] = CachedConstraint { at, seq: self.rank_seq[addr.rank] };
-                at
-            }
-        };
-        let at = bank_c.max(group_c).max(now);
-        debug_assert_eq!(
-            at,
-            self.channel.earliest_issue(CommandKind::Act, addr, now),
-            "split ACT constraint cache diverged for bank {bank}"
-        );
-        at
-    }
-
-    /// Earliest cycle a PRE for `addr` can issue: the memoized bank-local
-    /// constraint (tRAS/tRTP/tWR) plus the rank's refresh busy time (a plain
-    /// field read). Same exactness argument as [`cached_act_at`](Self::cached_act_at).
-    fn cached_pre_at(&mut self, bank: usize, addr: &DramAddr, now: Cycle) -> Cycle {
-        let bank_c = {
-            let cached = self.bank_pre_c[bank];
-            if cached.seq == self.bank_seq[bank] {
-                cached.at
-            } else {
-                let at = self.channel.rank(addr.rank).bank(addr.bank_in_rank(&self.geometry)).earliest_issue(
-                    CommandKind::Pre,
-                    0,
-                    &self.timing,
-                );
-                self.bank_pre_c[bank] = CachedConstraint { at, seq: self.bank_seq[bank] };
-                at
-            }
-        };
-        let at = bank_c.max(self.channel.rank(addr.rank).busy_until()).max(now);
-        debug_assert_eq!(
-            at,
-            self.channel.earliest_issue(CommandKind::Pre, addr, now),
-            "split PRE constraint cache diverged for bank {bank}"
-        );
-        at
-    }
-
     /// Verifies every incremental index against a from-scratch recount.
     /// Test-only: the maintenance above must keep these in lockstep.
     #[cfg(test)]
@@ -882,21 +738,13 @@ impl MemoryController {
                     assert!(pair.0.seq < pair.1.seq, "lane FIFO out of seq order, bank {bank}");
                 }
             }
-            let in_pending = lane.pending_pos != NOT_PENDING;
-            assert_eq!(in_pending, lane.queued() > 0, "pending membership, bank {bank}");
-            if in_pending {
-                assert_eq!(
-                    self.pending[lane.pending_pos as usize] as usize, bank,
-                    "pending position stale, bank {bank}"
-                );
-            }
         }
         assert_eq!(self.read_len, read_total, "read total");
         assert_eq!(self.write_len, write_total, "write total");
         assert_eq!(
-            self.pending.len(),
+            self.busy_lanes as usize,
             self.lanes.iter().filter(|l| l.queued() > 0).count(),
-            "pending set size"
+            "busy lane count"
         );
         // The sorted class queues must mirror the lanes' candidate memos
         // exactly (one entry per lane per class, seq-sorted).
@@ -910,7 +758,6 @@ impl MemoryController {
             for cand in queue {
                 let sched = &self.sched[cand.bank as usize];
                 assert_eq!(sched.cand_seq[class], cand.seq, "class queue {class} stale seq");
-                assert_eq!(sched.cand_index[class], cand.index, "class queue {class} stale index");
             }
         }
         for (bank, sched) in self.sched.iter().enumerate() {
@@ -949,7 +796,7 @@ impl MemoryController {
     /// Performs the early preventive refresh: precharge the rank, then issue
     /// one full refresh window's worth of REF commands back to back.
     fn perform_rank_refresh(&mut self, rank: usize, now: Cycle) {
-        let refs = self.timing.refs_per_window().max(1);
+        let refs = self.channel.config().timing.refs_per_window().max(1);
         let addr = DramAddr { channel: 0, rank, bank_group: 0, bank: 0, row: 0, column: 0 };
         let pre_at = self.channel.earliest_issue(CommandKind::PreAll, &addr, now);
         self.channel.issue_trusted(CommandKind::PreAll, &addr, pre_at);
@@ -973,7 +820,6 @@ impl MemoryController {
     /// no-ops. The event-driven simulation loop relies on this to skip them
     /// entirely.
     pub fn tick(&mut self, now: Cycle) -> Cycle {
-        self.last_tick = now;
         self.mitigation.on_tick(now);
 
         // 1. Early preventive refresh requested by the mitigation.
@@ -1053,8 +899,7 @@ impl MemoryController {
     fn try_preventive_refresh(&mut self, now: Cycle) -> Option<Cycle> {
         // Finish an in-flight victim activation with its precharge.
         if let Some(victim) = self.preventive_open {
-            let bank = self.flat_bank(&victim);
-            let pre_at = self.cached_pre_at(bank, &victim, now);
+            let pre_at = self.channel.earliest_issue(CommandKind::Pre, &victim, now);
             if pre_at <= now {
                 self.channel.issue_trusted(CommandKind::Pre, &victim, now);
                 self.note_issued(CommandKind::Pre, &victim);
@@ -1069,7 +914,7 @@ impl MemoryController {
         match self.open_rows[bank] {
             Some(row) if row == victim.row => {
                 // The victim row happens to be open: precharging it completes the refresh.
-                let pre_at = self.cached_pre_at(bank, &victim, now);
+                let pre_at = self.channel.earliest_issue(CommandKind::Pre, &victim, now);
                 if pre_at <= now {
                     self.channel.issue_trusted(CommandKind::Pre, &victim, now);
                     self.note_issued(CommandKind::Pre, &victim);
@@ -1082,7 +927,7 @@ impl MemoryController {
             }
             Some(_) => {
                 // Another row is open: close it first.
-                let pre_at = self.cached_pre_at(bank, &victim, now);
+                let pre_at = self.channel.earliest_issue(CommandKind::Pre, &victim, now);
                 if pre_at <= now {
                     self.channel.issue_trusted(CommandKind::Pre, &victim, now);
                     self.note_issued(CommandKind::Pre, &victim);
@@ -1093,7 +938,7 @@ impl MemoryController {
                 }
             }
             None => {
-                let act_at = self.cached_act_at(bank, &victim, now);
+                let act_at = self.channel.earliest_issue(CommandKind::Act, &victim, now);
                 if act_at <= now {
                     self.channel.issue_trusted(CommandKind::Act, &victim, now);
                     self.note_issued(CommandKind::Act, &victim);
@@ -1192,7 +1037,6 @@ impl MemoryController {
         }
         let sched = &mut self.sched[bank];
         sched.cand_seq = new_seq;
-        sched.cand_index = new_index;
         sched.holds_valid = holds_valid;
         sched.dirty = false;
         self.next_hold_check = self.next_hold_check.min(holds_valid);
@@ -1226,12 +1070,13 @@ impl MemoryController {
 
         // A matured hold expires its lane's memo: mark those lanes dirty so
         // the drain below re-derives them before arbitrating. Rare — only
-        // mitigation metadata traffic, throttling, and REGA penalties set
-        // holds.
+        // mitigation metadata accesses (Hydra) and throttling (BlockHammer)
+        // set holds — so the scans walk every lane. An emptied lane is
+        // dirty until the drain resets its `holds_valid` to `Cycle::MAX`, so
+        // empty lanes never contribute to the re-derived expiry.
         let holds_matured = now >= self.next_hold_check;
         if holds_matured {
-            for i in 0..self.pending.len() {
-                let bank = self.pending[i] as usize;
+            for bank in 0..self.sched.len() {
                 if self.sched[bank].holds_valid <= now {
                     self.mark_dirty(bank);
                 }
@@ -1243,11 +1088,7 @@ impl MemoryController {
         if holds_matured {
             // Re-derive the next expiry exactly; the running minimum kept by
             // `refresh_lane` can only be stale-early, never stale-late.
-            self.next_hold_check = Cycle::MAX;
-            for i in 0..self.pending.len() {
-                let bank = self.pending[i] as usize;
-                self.next_hold_check = self.next_hold_check.min(self.sched[bank].holds_valid);
-            }
+            self.next_hold_check = self.sched.iter().map(|s| s.holds_valid).min().unwrap_or(Cycle::MAX);
         }
 
         // The mitigation's next scheduled tick replaces the historical
@@ -1331,7 +1172,9 @@ impl MemoryController {
                 self.read_len -= 1;
             }
             self.sched[bank].columns_since_act += 1;
-            self.after_dequeue(bank);
+            if lane.queued() == 0 {
+                self.busy_lanes -= 1;
+            }
             if writes {
                 self.stats.writes_completed += 1;
             } else {
@@ -1388,7 +1231,7 @@ impl MemoryController {
                         self.tick_evals += 1;
                         // Activate the row, notifying the mitigation first.
                         let request = self.lanes[bank].fifo(writes)[cand.index as usize].request();
-                        let act_at = self.cached_act_at(bank, &request.addr, now);
+                        let act_at = self.channel.earliest_issue(CommandKind::Act, &request.addr, now);
                         if act_at > now {
                             cand.blocked_until = act_at;
                             *next_wake = (*next_wake).min(act_at);
@@ -1447,7 +1290,7 @@ impl MemoryController {
                         }
                         self.tick_evals += 1;
                         let addr = lane.fifo(writes)[cand.index as usize].addr();
-                        let pre_at = self.cached_pre_at(bank, &addr, now);
+                        let pre_at = self.channel.earliest_issue(CommandKind::Pre, &addr, now);
                         if pre_at > now {
                             cand.blocked_until = pre_at;
                             *next_wake = (*next_wake).min(pre_at);
@@ -1476,7 +1319,7 @@ impl std::fmt::Debug for MemoryController {
             .field("mitigation", &self.mitigation.name())
             .field("read_queue", &self.read_len)
             .field("write_queue", &self.write_len)
-            .field("pending_banks", &self.pending.len())
+            .field("pending_banks", &self.busy_lanes)
             .field("stats", &self.stats)
             .finish()
     }
@@ -1680,7 +1523,7 @@ mod tests {
         // Drive a mix of row hits, conflicts, writes, preventive refreshes,
         // and periodic refreshes, and verify after every tick that the
         // incrementally maintained open-row shadow, per-lane hit counters,
-        // totals, and pending set match a from-scratch recount.
+        // totals, and busy-lane count match a from-scratch recount.
         let tracker = PerRowCounters::new(
             64,
             &DramConfig::ddr4_paper_default().timing,

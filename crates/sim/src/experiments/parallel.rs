@@ -55,43 +55,10 @@ impl ParallelExecutor {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
+        match self.try_run(items, |index, item| Ok::<_, std::convert::Infallible>(work(index, item))) {
+            Ok(results) => results,
+            Err(never) => match never {},
         }
-        if self.threads == 1 || items.len() == 1 {
-            return items.iter().enumerate().map(|(index, item)| work(index, item)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(items.len());
-        let mut slots: Vec<Option<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= items.len() {
-                                break;
-                            }
-                            local.push((index, work(index, &items[index])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-            for handle in handles {
-                for (index, result) in handle.join().expect("experiment worker panicked") {
-                    slots[index] = Some(result);
-                }
-            }
-            slots
-        });
-        slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("every cell index was claimed by exactly one worker"))
-            .collect()
     }
 
     /// Applies a fallible `work` to every item. Once any cell fails, workers
