@@ -24,12 +24,12 @@
 //! results; the wall-clock time of every target is reported.
 //!
 //! If any target fails, a per-target error summary is printed and the exit
-//! code is nonzero.
+//! code is nonzero. A JSON file that cannot be written fails its target.
 
 use comet_bench::parse_scope;
 use comet_service::ExperimentService;
 use comet_sim::experiments::{self, CellBackend, ExperimentScope, ParallelExecutor};
-use comet_sim::{RunnerError, SimConfig};
+use comet_sim::SimConfig;
 use serde::Serialize;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -106,19 +106,18 @@ fn parse_args() -> Args {
     Args { scope, out, executor, cache, targets }
 }
 
-fn save_json<T: Serialize>(out: &Path, name: &str, value: &T) {
-    if fs::create_dir_all(out).is_err() {
-        return;
-    }
+/// What a target handler returns. A simulation error and a JSON file that
+/// could not be written both fail the target.
+type TargetResult = Result<(), Box<dyn std::error::Error>>;
+
+/// Writes `value` as `<out>/<name>.json`; an error names the path.
+fn save_json<T: Serialize>(out: &Path, name: &str, value: &T) -> TargetResult {
     let path = out.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
+    let json = serde_json::to_string_pretty(value)?;
+    fs::create_dir_all(out)
+        .and_then(|()| fs::write(&path, json))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    Ok(())
 }
 
 fn header(title: &str) {
@@ -127,18 +126,17 @@ fn header(title: &str) {
     println!("================================================================");
 }
 
-fn table1(out: &Path) -> Result<(), RunnerError> {
+fn table1(out: &Path) -> TargetResult {
     header("Table 1: storage overhead of Graphene (KB) vs RowHammer threshold");
     let rows = comet_area::table1_rows();
     println!("{:>8} {:>14}", "NRH", "Storage (KB)");
     for row in &rows {
         println!("{:>8} {:>14.2}", row.nrh, row.graphene_storage_kib);
     }
-    save_json(out, "table1", &rows);
-    Ok(())
+    save_json(out, "table1", &rows)
 }
 
-fn table2(out: &Path) -> Result<(), RunnerError> {
+fn table2(out: &Path) -> TargetResult {
     header("Table 2: simulated system configuration");
     let config = SimConfig::paper_full();
     println!("Processor     : 1 or 8 cores, 3.6 GHz, 4-wide issue, 128-entry instruction window");
@@ -163,22 +161,20 @@ fn table2(out: &Path) -> Result<(), RunnerError> {
         config.dram.timing.t_refw,
         config.dram.timing.t_ck_ns
     );
-    save_json(out, "table2", &config.dram);
-    Ok(())
+    save_json(out, "table2", &config.dram)
 }
 
-fn table3(out: &Path) -> Result<(), RunnerError> {
+fn table3(out: &Path) -> TargetResult {
     header("Table 3: evaluated workloads and their characteristics");
     let workloads = comet_trace::all_workloads();
     println!("{:<18} {:>10} {:>12} {:>10}", "Workload", "RBMPKI", "BW (MB/s)", "Class");
     for w in &workloads {
         println!("{:<18} {:>10.2} {:>12.0} {:>10?}", w.name, w.rbmpki, w.bandwidth_mbps, w.intensity());
     }
-    save_json(out, "table3", &workloads);
-    Ok(())
+    save_json(out, "table3", &workloads)
 }
 
-fn table4(out: &Path) -> Result<(), RunnerError> {
+fn table4(out: &Path) -> TargetResult {
     header("Table 4: dual-rank storage and area of CoMeT vs Graphene and Hydra");
     let rows = comet_area::table4_rows();
     println!("{:>6} {:<12} {:>14} {:>10}", "NRH", "Mechanism", "Storage (KB)", "mm^2");
@@ -191,19 +187,17 @@ fn table4(out: &Path) -> Result<(), RunnerError> {
             println!("       - {:<24} {:>8.1} KB {:>8.3} mm^2", c.name, c.storage_kib, c.area_mm2);
         }
     }
-    save_json(out, "table4", &rows);
-    Ok(())
+    save_json(out, "table4", &rows)
 }
 
-fn fig3(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig3(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 3: Hydra normalized IPC distribution vs RowHammer threshold");
     let result = experiments::comparison::fig3_hydra_motivation(scope, backend)?;
     print_comparison(&result);
-    save_json(out, "fig3", &result);
-    Ok(())
+    save_json(out, "fig3", &result)
 }
 
-fn fig4(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig4(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 4: performance / energy / area trade-off at NRH = 125");
     let points = experiments::radar_fig4(scope, backend)?;
     println!(
@@ -220,8 +214,7 @@ fn fig4(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result
             100.0 * p.dram_area_fraction
         );
     }
-    save_json(out, "fig4", &points);
-    Ok(())
+    save_json(out, "fig4", &points)
 }
 
 fn print_sweep(points: &[experiments::SweepPoint]) {
@@ -234,42 +227,39 @@ fn print_sweep(points: &[experiments::SweepPoint]) {
     }
 }
 
-fn fig6(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig6(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 6: Counter Table design sweep (NHash x NCounters)");
     for nrh in [1000u64, 125] {
         println!("\n-- NRH = {nrh} --");
         let points = experiments::fig6_ct_sweep(scope, nrh, backend)?;
         print_sweep(&points);
-        save_json(out, &format!("fig6_nrh{nrh}"), &points);
+        save_json(out, &format!("fig6_nrh{nrh}"), &points)?;
     }
     Ok(())
 }
 
-fn fig7(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig7(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 7: Recent Aggressor Table size sweep");
     let points = experiments::fig7_rat_sweep(scope, backend)?;
     print_sweep(&points);
-    save_json(out, "fig7", &points);
-    Ok(())
+    save_json(out, "fig7", &points)
 }
 
-fn fig8(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig8(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 8: early preventive refresh (EPRT x history length) sweep, 8-core, NRH = 125");
     let points = experiments::fig8_eprt_sweep(scope, backend)?;
     print_sweep(&points);
-    save_json(out, "fig8", &points);
-    Ok(())
+    save_json(out, "fig8", &points)
 }
 
-fn fig9(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig9(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 9: counter reset period (k) sweep");
     let points = experiments::fig9_k_sweep(scope, backend)?;
     print_sweep(&points);
-    save_json(out, "fig9", &points);
-    Ok(())
+    save_json(out, "fig9", &points)
 }
 
-fn fig10_11(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig10_11(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figures 10 & 11: CoMeT single-core normalized IPC and DRAM energy");
     let result = experiments::fig10_fig11_singlecore(scope, backend)?;
     println!("{:>6} {:>18} {:>20}", "NRH", "IPC geomean", "Energy geomean");
@@ -283,8 +273,7 @@ fn fig10_11(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Re
     for p in worst.iter().take(10) {
         println!("  {:<18} {:>8.4}", p.workload, p.normalized_ipc);
     }
-    save_json(out, "fig10_fig11", &result);
-    Ok(())
+    save_json(out, "fig10_fig11", &result)
 }
 
 fn print_comparison(result: &experiments::ComparisonResult) {
@@ -306,15 +295,14 @@ fn print_comparison(result: &experiments::ComparisonResult) {
     }
 }
 
-fn fig12_14(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig12_14(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figures 12 & 14: single-core comparison against state-of-the-art mitigations");
     let result = experiments::fig12_fig14_comparison(scope, backend)?;
     print_comparison(&result);
-    save_json(out, "fig12_fig14", &result);
-    Ok(())
+    save_json(out, "fig12_fig14", &result)
 }
 
-fn fig13_15(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig13_15(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figures 13 & 15: 8-core weighted speedup and DRAM energy comparison");
     let result = experiments::fig13_fig15_multicore(scope, backend)?;
     println!("{:<12} {:>6} {:>14} {:>14} {:>14}", "Mechanism", "NRH", "WS geomean", "WS min", "Energy geo");
@@ -328,11 +316,10 @@ fn fig13_15(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Re
             cell.energy.geomean
         );
     }
-    save_json(out, "fig13_fig15", &result);
-    Ok(())
+    save_json(out, "fig13_fig15", &result)
 }
 
-fn fig16(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig16(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 16: benign performance under RowHammer attacks");
     let result = experiments::fig16_adversarial(scope, backend)?;
     println!("(a) traditional attack, NRH = 500");
@@ -349,48 +336,43 @@ fn fig16(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Resul
             cell.mechanism, cell.attack, cell.benign_ipc.geomean, cell.benign_ipc.min
         );
     }
-    save_json(out, "fig16", &result);
-    Ok(())
+    save_json(out, "fig16", &result)
 }
 
-fn fig17(out: &Path) -> Result<(), RunnerError> {
+fn fig17(out: &Path) -> TargetResult {
     header("Figure 17: tracker false positive rate, CoMeT vs BlockHammer");
     let points = experiments::fig17_false_positive_rate(10_000, 125, 0xF17);
     println!("{:>12} {:>12} {:>16}", "Unique rows", "CoMeT FPR", "BlockHammer FPR");
     for p in &points {
         println!("{:>12} {:>12.4} {:>16.4}", p.unique_rows, p.comet_fpr, p.blockhammer_fpr);
     }
-    save_json(out, "fig17", &points);
-    Ok(())
+    save_json(out, "fig17", &points)
 }
 
-fn fig18(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn fig18(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Figure 18: CoMeT vs BlockHammer normalized IPC");
     let result = experiments::comparison::fig18_blockhammer(scope, backend)?;
     print_comparison(&result);
-    save_json(out, "fig18", &result);
-    Ok(())
+    save_json(out, "fig18", &result)
 }
 
-fn highnrh(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn highnrh(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Section 8.4: CoMeT at high RowHammer thresholds (2000, 4000)");
     let result = experiments::singlecore::high_threshold_singlecore(scope, backend)?;
     for (nrh, geomean) in &result.ipc_geomean {
         println!("NRH = {nrh}: normalized IPC geomean = {geomean:.5}");
     }
-    save_json(out, "highnrh", &result);
-    Ok(())
+    save_json(out, "highnrh", &result)
 }
 
-fn ablation(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn ablation(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Ablation: RAT and early preventive refresh contributions at NRH = 125");
     let points = experiments::sweeps::ablation(scope, 125, backend)?;
     print_sweep(&points);
-    save_json(out, "ablation", &points);
-    Ok(())
+    save_json(out, "ablation", &points)
 }
 
-fn ranks(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn ranks(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Rank sweep: tracker pressure vs rank parallelism (1/2/4 ranks per channel)");
     let result = experiments::rank_sweep(scope, backend)?;
     println!(
@@ -417,11 +399,10 @@ fn ranks(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Resul
             p.avg_read_latency_ns
         );
     }
-    save_json(out, "ranks", &result);
-    Ok(())
+    save_json(out, "ranks", &result)
 }
 
-fn mixed(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Result<(), RunnerError> {
+fn mixed(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> TargetResult {
     header("Mixed medium/high-intensity 8-core mixes: weighted speedup (true alone-IPC normalization)");
     let result = experiments::mixed_multicore(
         scope,
@@ -436,8 +417,7 @@ fn mixed(scope: ExperimentScope, out: &Path, backend: &dyn CellBackend) -> Resul
             cell.mix, cell.mechanism, cell.nrh, cell.weighted_speedup, cell.normalized_weighted_speedup
         );
     }
-    save_json(out, "mixed", &result);
-    Ok(())
+    save_json(out, "mixed", &result)
 }
 
 fn main() {
@@ -475,8 +455,7 @@ fn main() {
     // name, and the handler. Dispatch, help validation, and the
     // unknown-target check all derive from this one list, so a new target
     // cannot be runnable yet "unknown" (or vice versa).
-    type TargetEntry<'a> =
-        (&'static [&'static str], &'static str, Box<dyn FnMut() -> Result<(), RunnerError> + 'a>);
+    type TargetEntry<'a> = (&'static [&'static str], &'static str, Box<dyn FnMut() -> TargetResult + 'a>);
     let mut table: Vec<TargetEntry<'_>> = vec![
         (&["table1"], "table1", Box::new(move || table1(out))),
         (&["table2"], "table2", Box::new(move || table2(out))),
@@ -501,7 +480,7 @@ fn main() {
     ];
 
     let run_all = args.targets.iter().any(|t| t == "all");
-    let mut failures: Vec<(&'static str, RunnerError)> = Vec::new();
+    let mut failures: Vec<(&'static str, Box<dyn std::error::Error>)> = Vec::new();
     for (aliases, name, run) in &mut table {
         if !run_all && !aliases.iter().any(|alias| args.targets.iter().any(|t| t == alias)) {
             continue;

@@ -4,8 +4,9 @@
 //! reproduction.
 //!
 //! * `cargo run -p comet-bench --release --bin experiments -- all` regenerates
-//!   every table and figure of the paper's evaluation (see DESIGN.md for the
-//!   experiment index and `experiments -- help` for the individual targets).
+//!   every table and figure of the paper's evaluation (`experiments -- help`
+//!   lists the individual targets; README's "Reproducing the paper's figures"
+//!   shows the common invocations).
 //! * `cargo run -p comet-bench --release --bin perf` times the hot-path
 //!   basket ([`hotpath`]) and, with `--tracker`, the per-mechanism tracker
 //!   microbench suite ([`tracker`]).

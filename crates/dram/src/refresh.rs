@@ -1,24 +1,21 @@
 //! Periodic-refresh bookkeeping (`tREFI` / `tREFW`).
 
 use crate::timing::{Cycle, TimingParams};
-use serde::Serialize;
 
 /// Tracks when each rank owes a periodic refresh command.
 ///
-/// The memory controller consults [`refresh_due`](Self::refresh_due) every
-/// scheduling step and issues a `REF` command when a rank's refresh deadline
-/// arrives. JEDEC allows postponing up to 8 refresh commands; the scheduler in
-/// `comet-sim` uses a simpler "issue when due, force when 8 behind" policy that
-/// this type supports via [`pending`](Self::pending).
-#[derive(Debug, Clone, Serialize)]
+/// A rank's first refresh falls due at `tREFI` and each later one `tREFI`
+/// after the previous deadline. The memory controller in `comet-sim` issues
+/// every REF as soon as it is due: it consults
+/// [`refresh_due`](Self::refresh_due) before any other scheduling step,
+/// precharges the rank if needed, and never postpones a refresh.
+#[derive(Debug, Clone)]
 pub struct RefreshScheduler {
     t_refi: Cycle,
     /// Next refresh deadline per rank.
     next_due: Vec<Cycle>,
     /// Refreshes issued per rank.
     issued: Vec<u64>,
-    /// Maximum refreshes that may be postponed before one becomes mandatory.
-    max_postponed: u64,
 }
 
 impl RefreshScheduler {
@@ -28,7 +25,6 @@ impl RefreshScheduler {
             t_refi: timing.t_refi,
             next_due: vec![timing.t_refi; ranks],
             issued: vec![0; ranks],
-            max_postponed: 8,
         }
     }
 
@@ -45,21 +41,6 @@ impl RefreshScheduler {
     /// Returns `true` when `rank` has a refresh due at or before `now`.
     pub fn refresh_due(&self, rank: usize, now: Cycle) -> bool {
         now >= self.next_due[rank]
-    }
-
-    /// Number of refresh commands `rank` is currently behind by at `now`.
-    pub fn pending(&self, rank: usize, now: Cycle) -> u64 {
-        if now < self.next_due[rank] {
-            0
-        } else {
-            1 + (now - self.next_due[rank]) / self.t_refi
-        }
-    }
-
-    /// Returns `true` when `rank` has postponed so many refreshes that the next
-    /// one must be issued before any other command.
-    pub fn refresh_urgent(&self, rank: usize, now: Cycle) -> bool {
-        self.pending(rank, now) >= self.max_postponed
     }
 
     /// Records that a REF command was issued to `rank`, advancing its deadline.
@@ -101,7 +82,6 @@ mod tests {
         let s = sched();
         assert!(!s.refresh_due(0, 0));
         assert!(!s.refresh_due(1, 0));
-        assert_eq!(s.pending(0, 0), 0);
     }
 
     #[test]
@@ -109,7 +89,6 @@ mod tests {
         let t = TimingParams::ddr4_2400();
         let s = sched();
         assert!(s.refresh_due(0, t.t_refi));
-        assert_eq!(s.pending(0, t.t_refi), 1);
     }
 
     #[test]
@@ -122,15 +101,6 @@ mod tests {
         assert!(s.refresh_due(0, 2 * t.t_refi));
         assert_eq!(s.issued(0), 1);
         assert_eq!(s.issued(1), 0);
-    }
-
-    #[test]
-    fn pending_accumulates_when_postponed() {
-        let t = TimingParams::ddr4_2400();
-        let s = sched();
-        assert_eq!(s.pending(0, 4 * t.t_refi), 4);
-        assert!(!s.refresh_urgent(0, 4 * t.t_refi));
-        assert!(s.refresh_urgent(0, 8 * t.t_refi));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The long-running experiment service of the CoMeT reproduction: a daemon
 //! that accepts sweep requests over a line protocol (Unix socket or stdin),
-//! decomposes them into experiment cells through the plan/assemble API of
+//! decomposes them into the cells of the figure grids of
 //! [`comet_sim::experiments`], schedules novel cells onto the
 //! [`ParallelExecutor`](comet_sim::experiments::ParallelExecutor) via a
 //! priority job queue, deduplicates in-flight work across concurrent

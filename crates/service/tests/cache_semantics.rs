@@ -4,8 +4,7 @@
 
 use comet_service::store::result_projection;
 use comet_service::ExperimentService;
-use comet_sim::experiments::adversarial::AdversarialPlan;
-use comet_sim::experiments::{CellBackend, CellSpec, ExperimentScope, ParallelExecutor};
+use comet_sim::experiments::{attack_grid, CellBackend, CellSpec, ExperimentScope, ParallelExecutor};
 use comet_sim::{MechanismKind, Runner, RunnerError, SimConfig};
 use comet_trace::AttackKind;
 
@@ -60,16 +59,16 @@ fn overlapping_sweeps_rerun_only_their_novel_cells() {
     let workloads: Vec<String> = vec!["429.mcf".to_string(), "473.astar".to_string()];
     let attack = AttackKind::Traditional { rows_per_bank: 8 };
 
-    let comet_only = AdversarialPlan::new(workloads.clone(), &[(MechanismKind::Comet, attack, 500)]);
+    let comet_only = attack_grid(workloads.clone(), &[(MechanismKind::Comet, attack, 500)]);
     service.run_cells(&runner, comet_only.cells()).unwrap();
     let after_first = service.stats();
     assert_eq!(after_first.simulated, 2 * workloads.len() as u64, "baselines + CoMeT runs");
 
-    let both = AdversarialPlan::new(
+    let both = attack_grid(
         workloads.clone(),
         &[(MechanismKind::Comet, attack, 500), (MechanismKind::Hydra, attack, 500)],
     );
-    // The plan enumerates the shared baseline twice (once per study) and the
+    // The grid enumerates the shared baseline twice (once per study) and the
     // warm CoMeT cells again; only Hydra's runs are novel.
     service.run_cells(&runner, both.cells()).unwrap();
     let delta = service.stats().delta_since(&after_first);

@@ -1,8 +1,8 @@
 //! Figure 16: performance of benign workloads running concurrently with
 //! RowHammer attacks (a traditional attack and mechanism-targeted attacks).
 
-use super::{plan_grid, CellBackend, CellSpec, ExperimentScope, GridView};
-use crate::metrics::{normalized_distribution, DistributionSummary, RunResult};
+use super::{CellBackend, CellSpec, ExperimentScope, Grid};
+use crate::metrics::{normalized_distribution, DistributionSummary};
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use comet_trace::AttackKind;
 use serde::Serialize;
@@ -37,84 +37,60 @@ fn attack_label(kind: AttackKind) -> String {
     }
 }
 
-/// An attack-study cell grid as data: per-study attacked baselines followed
-/// by the per-study protected runs, both (study × workload) row-major.
+/// The cell grid of `studies`, each a (mechanism, attack, nrh) triple, over
+/// `workloads`: per study, an attacked baseline and a protected run per
+/// workload.
 ///
 /// The baseline is the same benign workload plus the same attacker on an
 /// unprotected system, so the normalization isolates the mitigation's cost
 /// (matching the paper, which normalizes to the no-mitigation system).
 /// Studies sharing an (attack, nrh) pair — e.g. every mechanism under the
-/// traditional attack — enumerate *identical* baseline cells; the plan does
+/// traditional attack — enumerate *identical* baseline cells; the grid does
 /// not deduplicate them, because every [`CellBackend`] already shares
 /// duplicate cells (in-batch for the plain executor, cross-request through
 /// the experiment service's result cache).
-#[derive(Debug, Clone)]
-pub struct AdversarialPlan {
+pub fn attack_grid(
     workloads: Vec<String>,
-    studies: Vec<(MechanismKind, AttackKind, u64)>,
-    cells: Vec<CellSpec>,
-}
-
-impl AdversarialPlan {
-    /// Enumerates the grid for `studies` over `workloads`.
-    pub fn new(workloads: Vec<String>, studies: &[(MechanismKind, AttackKind, u64)]) -> Self {
-        let mut cells = Vec::new();
-        plan_grid(&mut cells, studies, &[()], &workloads, |&(_, attack, nrh), _, workload| {
-            CellSpec::attacked(workload, attack, MechanismKind::Baseline, nrh)
-        });
-        plan_grid(&mut cells, studies, &[()], &workloads, |&(mechanism, attack, nrh), _, workload| {
-            CellSpec::attacked(workload, attack, mechanism, nrh)
-        });
-        AdversarialPlan { workloads, studies: studies.to_vec(), cells }
-    }
-
-    /// Every cell of the plan, in the order `assemble` expects results.
-    pub fn cells(&self) -> &[CellSpec] {
-        &self.cells
-    }
-
-    /// Folds per-cell results (parallel to [`cells`](Self::cells)) into one
-    /// [`AdversarialCell`] per study.
-    pub fn assemble(&self, results: &[RunResult]) -> Vec<AdversarialCell> {
-        assert_eq!(results.len(), self.cells.len(), "one result per planned cell");
-        let grid = self.studies.len() * self.workloads.len();
-        let baselines = GridView::new(&results[..grid], 1, self.workloads.len());
-        let runs = GridView::new(&results[grid..], 1, self.workloads.len());
-
-        let mut out = Vec::with_capacity(self.studies.len());
-        for (s, &(mechanism, attack, _)) in self.studies.iter().enumerate() {
-            let mut values = Vec::new();
-            for (w, _) in self.workloads.iter().enumerate() {
-                let baseline = baselines.at(s, 0, w);
-                let run = runs.at(s, 0, w);
-                let benign_norm = if baseline.per_core_ipc[0] > 0.0 {
-                    run.per_core_ipc[0] / baseline.per_core_ipc[0]
-                } else {
-                    1.0
-                };
-                values.push(benign_norm);
-            }
-            out.push(AdversarialCell {
-                mechanism: mechanism.name().to_string(),
-                attack: attack_label(attack),
-                benign_ipc: normalized_distribution(&values),
-            });
-        }
-        out
-    }
+    studies: &[(MechanismKind, AttackKind, u64)],
+) -> Grid<(MechanismKind, AttackKind, u64), ()> {
+    Grid::new(studies.to_vec(), vec![()], workloads, |&(mechanism, attack, nrh), run, workload| {
+        let mechanism = if run.is_some() { mechanism } else { MechanismKind::Baseline };
+        CellSpec::attacked(workload, attack, mechanism, nrh)
+    })
 }
 
 /// Runs every (mechanism, attack, nrh) attack study over `workloads` through
-/// `backend`.
+/// `backend`, normalizing the benign core's IPC to its attacked baseline.
 fn attack_cells(
     runner: &Runner,
     workloads: &[String],
     studies: &[(MechanismKind, AttackKind, u64)],
     backend: &dyn CellBackend,
 ) -> Result<Vec<AdversarialCell>, RunnerError> {
-    let plan = AdversarialPlan::new(workloads.to_vec(), studies);
-    let results = backend.run_cells(runner, plan.cells())?;
-    Ok(plan.assemble(&results))
+    let grid = attack_grid(workloads.to_vec(), studies);
+    let results = backend.run_cells(runner, grid.cells())?;
+    Ok(grid
+        .slices(&results)
+        .map(|slice| {
+            let &(mechanism, attack, _) = slice.outer;
+            let benign_ipc: Vec<f64> = slice
+                .runs
+                .iter()
+                .map(|(_, baseline, run)| {
+                    if baseline.per_core_ipc[0] > 0.0 {
+                        run.per_core_ipc[0] / baseline.per_core_ipc[0]
+                    } else {
+                        1.0
+                    }
+                })
+                .collect();
+            AdversarialCell {
+                mechanism: mechanism.name().to_string(),
+                attack: attack_label(attack),
+                benign_ipc: normalized_distribution(&benign_ipc),
+            }
+        })
+        .collect())
 }
 
 /// Figure 16: (a) benign workloads + a traditional attack under every mechanism
@@ -164,13 +140,13 @@ mod tests {
 
     #[test]
     fn shared_baselines_are_enumerated_per_study_and_deduped_by_the_backend() {
-        // Two studies under the same (attack, nrh): the plan enumerates the
+        // Two studies under the same (attack, nrh): the grid enumerates the
         // attacked baseline twice per workload; backends collapse them.
         let attack = AttackKind::Traditional { rows_per_bank: 4 };
         let studies = [(MechanismKind::Comet, attack, 500), (MechanismKind::Hydra, attack, 500)];
-        let plan = AdversarialPlan::new(vec!["429.mcf".to_string()], &studies);
+        let grid = attack_grid(vec!["429.mcf".to_string()], &studies);
         let baselines: Vec<_> =
-            plan.cells().iter().filter(|c| c.mechanism == MechanismKind::Baseline).collect();
+            grid.cells().iter().filter(|c| c.mechanism == MechanismKind::Baseline).collect();
         assert_eq!(baselines.len(), 2);
         assert_eq!(baselines[0], baselines[1], "shared baselines must be identical specs");
     }

@@ -1,9 +1,10 @@
 //! Experiment cells as data.
 //!
 //! A *cell* is one full simulation — a workload placement, a mitigation
-//! mechanism, and a RowHammer threshold. Every experiment family enumerates
-//! its grid as [`CellSpec`] values and assembles its figure/table data from
-//! the per-cell [`RunResult`]s, instead of closing over an executor. That
+//! mechanism, and a RowHammer threshold. Every experiment family lays its
+//! cells out as [`CellSpec`] values (a [`Grid`](super::Grid) for all but the
+//! mixed-intensity study) and reads its figure/table data back from the
+//! per-cell [`RunResult`]s, instead of closing over an executor. That
 //! split is what lets the experiment service (crate `comet-service`) schedule,
 //! deduplicate, and memoize cells: a cell's full identity — spec plus the
 //! [`Runner`]'s configuration, seed, and loop mode — is a content-addressable
@@ -145,7 +146,7 @@ pub trait CellBackend: Sync {
 impl CellBackend for ParallelExecutor {
     /// Fans the batch's *unique* cells out over the worker pool and fans
     /// results back to every occurrence. The in-batch dedupe is what makes
-    /// plans free to enumerate overlapping grids (e.g. the adversarial
+    /// grids free to enumerate overlapping cells (e.g. the adversarial
     /// studies' shared attacked baselines) without hand-rolled key tracking.
     fn run_cells(&self, runner: &Runner, cells: &[CellSpec]) -> Result<Vec<RunResult>, RunnerError> {
         let mut unique: Vec<&CellSpec> = Vec::with_capacity(cells.len());

@@ -2,8 +2,8 @@
 //! Figure 3 (Hydra's overhead), Figure 4 (the trade-off radar plot), and
 //! Figure 18 (CoMeT vs BlockHammer).
 
-use super::{baseline_cells, plan_grid, CellBackend, CellSpec, ExperimentScope, GridView};
-use crate::metrics::{normalized_distribution, DistributionSummary, RunResult};
+use super::{threshold_grid, CellBackend, ExperimentScope};
+use crate::metrics::{normalized_distribution, DistributionSummary};
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use serde::Serialize;
 
@@ -36,70 +36,6 @@ impl ComparisonResult {
     }
 }
 
-/// The comparison cell grid as data: shared unprotected baselines
-/// (threshold × workload) followed by the (threshold × mechanism × workload)
-/// mechanism grid.
-#[derive(Debug, Clone)]
-pub struct ComparisonPlan {
-    workloads: Vec<String>,
-    mechanisms: Vec<MechanismKind>,
-    thresholds: Vec<u64>,
-    cells: Vec<CellSpec>,
-}
-
-impl ComparisonPlan {
-    /// Enumerates the grid for `mechanisms` over `scope`'s workloads.
-    pub fn new(scope: ExperimentScope, mechanisms: &[MechanismKind], thresholds: &[u64]) -> Self {
-        let workloads = scope.workloads();
-        let mut cells = Vec::new();
-        // Baselines are shared across mechanisms for a threshold.
-        baseline_cells(&mut cells, &workloads, thresholds);
-        plan_grid(&mut cells, thresholds, mechanisms, &workloads, |&nrh, &mechanism, workload| {
-            CellSpec::single(workload, mechanism, nrh)
-        });
-        ComparisonPlan { workloads, mechanisms: mechanisms.to_vec(), thresholds: thresholds.to_vec(), cells }
-    }
-
-    /// Every cell of the plan, in the order `assemble` expects results.
-    pub fn cells(&self) -> &[CellSpec] {
-        &self.cells
-    }
-
-    /// Folds per-cell results (parallel to [`cells`](Self::cells)) into the
-    /// figure dataset.
-    pub fn assemble(&self, results: &[RunResult]) -> ComparisonResult {
-        assert_eq!(results.len(), self.cells.len(), "one result per planned cell");
-        let baseline_len = self.thresholds.len() * self.workloads.len();
-        let baselines = GridView::new(&results[..baseline_len], 1, self.workloads.len());
-        let runs = GridView::new(&results[baseline_len..], self.mechanisms.len(), self.workloads.len());
-
-        let mut out = Vec::with_capacity(self.thresholds.len() * self.mechanisms.len());
-        for (t, &nrh) in self.thresholds.iter().enumerate() {
-            for (m, &mechanism) in self.mechanisms.iter().enumerate() {
-                let mut norm_ipc = Vec::new();
-                let mut norm_energy = Vec::new();
-                let mut per_workload = Vec::new();
-                for (w, workload) in self.workloads.iter().enumerate() {
-                    let baseline = baselines.at(t, 0, w);
-                    let run = runs.at(t, m, w);
-                    let ipc = run.normalized_ipc(baseline);
-                    norm_ipc.push(ipc);
-                    norm_energy.push(run.normalized_energy(baseline));
-                    per_workload.push((workload.clone(), ipc));
-                }
-                out.push(ComparisonCell {
-                    mechanism: mechanism.name().to_string(),
-                    nrh,
-                    ipc: normalized_distribution(&norm_ipc),
-                    energy: normalized_distribution(&norm_energy),
-                    per_workload_ipc: per_workload,
-                });
-            }
-        }
-        ComparisonResult { cells: out }
-    }
-}
-
 /// Runs the comparison for an arbitrary mechanism set (Figure 12/14 uses
 /// [`MechanismKind::comparison_set`], Figure 18 uses CoMeT vs BlockHammer,
 /// Figure 3 uses Hydra alone).
@@ -114,9 +50,28 @@ pub fn comparison_for(
     backend: &dyn CellBackend,
 ) -> Result<ComparisonResult, RunnerError> {
     let runner = Runner::new(scope.sim_config());
-    let plan = ComparisonPlan::new(scope, mechanisms, thresholds);
-    let results = backend.run_cells(&runner, plan.cells())?;
-    Ok(plan.assemble(&results))
+    // Baselines are shared across mechanisms for a threshold.
+    let grid = threshold_grid(scope.workloads(), mechanisms.to_vec(), thresholds, 1, |&m| m);
+    let results = backend.run_cells(&runner, grid.cells())?;
+    let cells = grid
+        .slices(&results)
+        .map(|slice| {
+            let ipc = slice.normalized_ipc();
+            ComparisonCell {
+                mechanism: slice.config.name().to_string(),
+                nrh: *slice.outer,
+                ipc: normalized_distribution(&ipc),
+                energy: normalized_distribution(&slice.normalized_energy()),
+                per_workload_ipc: slice
+                    .runs
+                    .iter()
+                    .map(|(workload, _, _)| workload.to_string())
+                    .zip(ipc)
+                    .collect(),
+            }
+        })
+        .collect();
+    Ok(ComparisonResult { cells })
 }
 
 /// Figures 12 and 14: Graphene, CoMeT, Hydra, REGA, and PARA across thresholds.

@@ -1,18 +1,20 @@
 //! Experiment harness: one module per group of tables/figures from the paper.
 //!
-//! Every experiment family is split in two:
+//! Almost every simulated figure is a [`Grid`] of [`CellSpec`]s: unprotected
+//! baselines and protected runs over workloads, configurations and an outer
+//! axis of thresholds or attack studies. A figure builds its grid, runs
+//! [`Grid::cells`] through a [`CellBackend`], and folds the results, one
+//! slice per (outer point, configuration), into its figure/table data
+//! structure. The mixed-intensity
+//! multicore study needs one *alone* run per core rather than one baseline
+//! per workload, so it keeps its own
+//! [`MixedMulticorePlan`](multicore::MixedMulticorePlan).
 //!
-//! * a **plan** that enumerates the family's simulation grid as
-//!   [`CellSpec`] data (workload placement × mechanism × threshold), and
-//! * an **assembly** that folds the per-cell [`RunResult`]s back into the
-//!   family's figure/table data structure.
-//!
-//! Execution sits behind the [`CellBackend`] seam between the two: the plain
+//! Execution sits behind the [`CellBackend`] seam: the plain
 //! [`ParallelExecutor`] fans the cells out and runs all of them, while the
 //! experiment service (crate `comet-service`) memoizes each cell in a
 //! content-addressed cache so repeat and overlapping sweeps only simulate
-//! novel cells. The `fig*` functions are thin plan → run → assemble wrappers,
-//! so both backends serve every experiment unchanged.
+//! novel cells. Both backends serve every experiment unchanged.
 
 pub mod adversarial;
 pub mod cells;
@@ -24,7 +26,7 @@ pub mod ranks;
 pub mod singlecore;
 pub mod sweeps;
 
-pub use adversarial::{fig16_adversarial, AdversarialResult};
+pub use adversarial::{attack_grid, fig16_adversarial, AdversarialResult};
 pub use cells::{CellBackend, CellSpec, WorkloadSpec};
 pub use comparison::{fig12_fig14_comparison, radar_fig4, ComparisonResult, RadarPoint};
 pub use fpr::{fig17_false_positive_rate, FprPoint};
@@ -96,72 +98,116 @@ impl ExperimentScope {
     }
 }
 
-/// A borrowed view of a three-axis cell grid (outer × middle × inner),
-/// indexable by axis positions so assemblies never track a manual running
-/// index.
+/// The cell grid behind almost every figure: at each outer point (a
+/// threshold or an attack study), one unprotected baseline per workload and
+/// one protected run per (configuration, workload).
 ///
-/// Every experiment plan lays its cells out as one flat vector of
-/// row-major grids — typically (threshold × mechanism × workload) — and the
-/// assembly re-walks the same axes. Keeping the enumeration order and the
-/// re-walk order in sync by hand is fragile; [`plan_grid`] owns the layout
-/// and [`GridView::at`] is the only way results come back out.
-pub(crate) struct GridView<'a, R> {
-    results: &'a [R],
-    middle_len: usize,
-    inner_len: usize,
+/// [`cells`](Self::cells) lists every baseline (outer × workload), then every
+/// protected run (outer × configuration × workload); a backend runs them in
+/// that order, and `slices` hands the results back per (outer point,
+/// configuration), each run paired with its own baseline.
+#[derive(Debug)]
+pub struct Grid<O, C> {
+    outers: Vec<O>,
+    configs: Vec<C>,
+    workloads: Vec<String>,
+    cells: Vec<CellSpec>,
 }
 
-impl<'a, R> GridView<'a, R> {
-    /// Wraps `results` (one flat row-major grid) for indexed access.
-    pub(crate) fn new(results: &'a [R], middle_len: usize, inner_len: usize) -> Self {
-        GridView { results, middle_len: middle_len.max(1), inner_len: inner_len.max(1) }
-    }
-
-    /// The result for `(outers[outer], middles[middle], inners[inner])`.
-    pub(crate) fn at(&self, outer: usize, middle: usize, inner: usize) -> &R {
-        &self.results[(outer * self.middle_len + middle) * self.inner_len + inner]
-    }
-}
-
-/// Enumerates the row-major (outer × middle × inner) grid of cells produced
-/// by `spec`, appending to `cells`. The matching [`GridView`] must be built
-/// with `middles.len()` / `inners.len()`.
-pub(crate) fn plan_grid<A, B, C>(
-    cells: &mut Vec<CellSpec>,
-    outers: &[A],
-    middles: &[B],
-    inners: &[C],
-    spec: impl Fn(&A, &B, &C) -> CellSpec,
-) {
-    cells.reserve(outers.len() * middles.len() * inners.len());
-    for outer in outers {
-        for middle in middles {
-            for inner in inners {
-                cells.push(spec(outer, middle, inner));
+impl<O, C> Grid<O, C> {
+    /// Enumerates the grid. `spec(outer, None, workload)` makes a baseline
+    /// cell and `spec(outer, Some(config), workload)` a protected run.
+    pub(crate) fn new(
+        outers: Vec<O>,
+        configs: Vec<C>,
+        workloads: Vec<String>,
+        spec: impl Fn(&O, Option<&C>, &str) -> CellSpec,
+    ) -> Self {
+        let mut cells = Vec::with_capacity(outers.len() * (1 + configs.len()) * workloads.len());
+        for outer in &outers {
+            cells.extend(workloads.iter().map(|workload| spec(outer, None, workload)));
+        }
+        for outer in &outers {
+            for config in &configs {
+                cells.extend(workloads.iter().map(|workload| spec(outer, Some(config), workload)));
             }
         }
+        Grid { outers, configs, workloads, cells }
+    }
+
+    /// Every cell, baselines first, in the order `slices` expects results.
+    pub fn cells(&self) -> &[CellSpec] {
+        &self.cells
+    }
+
+    /// Splits per-cell `results` (parallel to [`cells`](Self::cells)) into
+    /// one [`Slice`] per (outer point, configuration), outer point first.
+    pub(crate) fn slices<'a>(
+        &'a self,
+        results: &'a [RunResult],
+    ) -> impl Iterator<Item = Slice<'a, O, C>> + 'a {
+        assert_eq!(results.len(), self.cells.len(), "one result per cell");
+        let width = self.workloads.len();
+        let (baselines, runs) = results.split_at(self.outers.len() * width);
+        self.outers.iter().enumerate().flat_map(move |(o, outer)| {
+            let baselines = &baselines[o * width..(o + 1) * width];
+            self.configs.iter().enumerate().map(move |(c, config)| {
+                let first = (o * self.configs.len() + c) * width;
+                Slice {
+                    outer,
+                    config,
+                    runs: self
+                        .workloads
+                        .iter()
+                        .zip(baselines.iter().zip(&runs[first..first + width]))
+                        .map(|(workload, (baseline, run))| (workload.as_str(), baseline, run))
+                        .collect(),
+                }
+            })
+        })
     }
 }
 
-/// Unprotected single-core baseline cells for every `(threshold, workload)`
-/// pair, row-major; view with `GridView::new(.., 1, workloads.len())`.
-pub(crate) fn baseline_cells(cells: &mut Vec<CellSpec>, workloads: &[String], thresholds: &[u64]) {
-    plan_grid(cells, thresholds, &[()], workloads, |&nrh, _, workload| {
-        CellSpec::single(workload, MechanismKind::Baseline, nrh)
-    });
+/// The results of one (outer point, configuration) of a [`Grid`].
+pub(crate) struct Slice<'a, O, C> {
+    /// The outer point: a threshold or an attack study.
+    pub outer: &'a O,
+    /// The configuration of the protected runs.
+    pub config: &'a C,
+    /// `(workload, baseline, run)` per workload, in workload order.
+    pub runs: Vec<(&'a str, &'a RunResult, &'a RunResult)>,
 }
 
-/// Unprotected homogeneous-mix baseline cells, laid out like
-/// [`baseline_cells`].
-pub(crate) fn homogeneous_baseline_cells(
-    cells: &mut Vec<CellSpec>,
-    mixes: &[String],
-    cores: usize,
+impl<O, C> Slice<'_, O, C> {
+    /// Each run's IPC normalized to its baseline, in workload order.
+    pub(crate) fn normalized_ipc(&self) -> Vec<f64> {
+        self.runs.iter().map(|(_, baseline, run)| run.normalized_ipc(baseline)).collect()
+    }
+
+    /// Each run's DRAM energy normalized to its baseline, in workload order.
+    pub(crate) fn normalized_energy(&self) -> Vec<f64> {
+        self.runs.iter().map(|(_, baseline, run)| run.normalized_energy(baseline)).collect()
+    }
+}
+
+/// A grid over `thresholds` of `workloads` on one core (`cores <= 1`) or as
+/// `cores`-copy homogeneous mixes, unprotected and under every
+/// configuration; `kind` names a configuration's mechanism.
+pub(crate) fn threshold_grid<C>(
+    workloads: Vec<String>,
+    configs: Vec<C>,
     thresholds: &[u64],
-) {
-    plan_grid(cells, thresholds, &[()], mixes, |&nrh, _, workload| {
-        CellSpec::homogeneous(workload, cores, MechanismKind::Baseline, nrh)
-    });
+    cores: usize,
+    kind: impl Fn(&C) -> MechanismKind,
+) -> Grid<u64, C> {
+    Grid::new(thresholds.to_vec(), configs, workloads, |&nrh, config, workload| {
+        let mechanism = config.map_or(MechanismKind::Baseline, &kind);
+        if cores <= 1 {
+            CellSpec::single(workload, mechanism, nrh)
+        } else {
+            CellSpec::homogeneous(workload, cores, mechanism, nrh)
+        }
+    })
 }
 
 /// The per-kilo-activation preventive-refresh rate of one run — the headline
@@ -201,19 +247,23 @@ mod tests {
     }
 
     #[test]
-    fn plan_grid_and_grid_view_agree_on_layout() {
-        let mut cells = Vec::new();
-        let thresholds = [1000u64, 125];
-        let mechanisms = [MechanismKind::Comet, MechanismKind::Para, MechanismKind::Rega];
-        let workloads = ["a".to_string(), "b".to_string()];
-        plan_grid(&mut cells, &thresholds, &mechanisms, &workloads, |&nrh, &m, w| {
-            CellSpec::single(w.clone(), m, nrh)
-        });
-        assert_eq!(cells.len(), 2 * 3 * 2);
-        let view = GridView::new(&cells, mechanisms.len(), workloads.len());
-        let cell = view.at(1, 2, 0);
-        assert_eq!(cell.nrh, 125);
-        assert_eq!(cell.mechanism, MechanismKind::Rega);
-        assert_eq!(cell.workload, WorkloadSpec::Single { workload: "a".to_string() });
+    fn grid_pairs_every_run_with_its_own_baseline() {
+        let mechanisms = vec![MechanismKind::Comet, MechanismKind::Para, MechanismKind::Rega];
+        let workloads = vec!["a".to_string(), "b".to_string()];
+        let grid = threshold_grid(workloads, mechanisms, &[1000, 125], 1, |&m| m);
+        assert_eq!(grid.cells().len(), 2 * 2 + 2 * 3 * 2);
+        // Stand-in results that carry their cell's label.
+        let results: Vec<RunResult> =
+            grid.cells().iter().map(|cell| RunResult { label: cell.label(), ..Default::default() }).collect();
+        let slices: Vec<_> = grid.slices(&results).collect();
+        assert_eq!(slices.len(), 2 * 3);
+        for slice in &slices {
+            assert_eq!(slice.runs.iter().map(|(w, _, _)| *w).collect::<Vec<_>>(), ["a", "b"]);
+            for (workload, baseline, run) in &slice.runs {
+                assert_eq!(baseline.label, format!("{workload}/Baseline/nrh{}", slice.outer));
+                assert_eq!(run.label, format!("{workload}/{}/nrh{}", slice.config.name(), slice.outer));
+            }
+        }
+        assert_eq!((*slices[4].outer, *slices[4].config), (125, MechanismKind::Para));
     }
 }

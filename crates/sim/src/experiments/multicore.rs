@@ -1,6 +1,6 @@
 //! Figures 13 and 15: 8-core weighted speedup and DRAM energy comparison.
 
-use super::{homogeneous_baseline_cells, plan_grid, CellBackend, CellSpec, ExperimentScope, GridView};
+use super::{threshold_grid, CellBackend, CellSpec, ExperimentScope};
 use crate::metrics::{normalized_distribution, DistributionSummary, RunResult};
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use serde::Serialize;
@@ -34,87 +34,10 @@ impl MulticoreResult {
     }
 }
 
-/// The multicore cell grid as data: homogeneous-mix baselines
-/// (threshold × mix) followed by the (threshold × mechanism × mix) grid.
-#[derive(Debug, Clone)]
-pub struct MulticorePlan {
-    mixes: Vec<String>,
-    mechanisms: Vec<MechanismKind>,
-    thresholds: Vec<u64>,
-    cores: usize,
-    cells: Vec<CellSpec>,
-}
-
-impl MulticorePlan {
-    /// Enumerates the grid for `mechanisms` on `cores`-copy mixes.
-    pub fn new(
-        scope: ExperimentScope,
-        mechanisms: &[MechanismKind],
-        thresholds: &[u64],
-        cores: usize,
-    ) -> Self {
-        // Pick the most memory-intensive workloads for the mixes: they are where
-        // multi-core contention (and tracker pressure) is visible.
-        let mixes: Vec<String> = comet_trace::mix::paper_eight_core_mixes()
-            .into_iter()
-            .take(scope.mix_count())
-            .map(|m| m.cores[0].name.clone())
-            .collect();
-        let mut cells = Vec::new();
-        homogeneous_baseline_cells(&mut cells, &mixes, cores, thresholds);
-        plan_grid(&mut cells, thresholds, mechanisms, &mixes, |&nrh, &mechanism, workload| {
-            CellSpec::homogeneous(workload, cores, mechanism, nrh)
-        });
-        MulticorePlan {
-            mixes,
-            mechanisms: mechanisms.to_vec(),
-            thresholds: thresholds.to_vec(),
-            cores,
-            cells,
-        }
-    }
-
-    /// Every cell of the plan, in the order `assemble` expects results.
-    pub fn cells(&self) -> &[CellSpec] {
-        &self.cells
-    }
-
-    /// Folds per-cell results (parallel to [`cells`](Self::cells)) into the
-    /// figure dataset.
-    pub fn assemble(&self, results: &[RunResult]) -> MulticoreResult {
-        assert_eq!(results.len(), self.cells.len(), "one result per planned cell");
-        let baseline_len = self.thresholds.len() * self.mixes.len();
-        let baselines = GridView::new(&results[..baseline_len], 1, self.mixes.len());
-        let runs = GridView::new(&results[baseline_len..], self.mechanisms.len(), self.mixes.len());
-
-        let mut out = Vec::with_capacity(self.thresholds.len() * self.mechanisms.len());
-        for (t, &nrh) in self.thresholds.iter().enumerate() {
-            for (m, &mechanism) in self.mechanisms.iter().enumerate() {
-                let mut norm_ws = Vec::new();
-                let mut norm_energy = Vec::new();
-                for (w, _) in self.mixes.iter().enumerate() {
-                    let baseline = baselines.at(t, 0, w);
-                    let run = runs.at(t, m, w);
-                    norm_ws.push(run.normalized_ipc(baseline));
-                    norm_energy.push(run.normalized_energy(baseline));
-                }
-                out.push(MulticoreCell {
-                    mechanism: mechanism.name().to_string(),
-                    nrh,
-                    weighted_speedup: normalized_distribution(&norm_ws),
-                    energy: normalized_distribution(&norm_energy),
-                });
-            }
-        }
-        MulticoreResult {
-            mixes: self.mixes.iter().map(|m| format!("{m}-x{}", self.cores)).collect(),
-            cells: out,
-        }
-    }
-}
-
 /// Runs the multicore comparison for the given mechanisms and thresholds,
 /// executing every (mix × mechanism × threshold) cell through `backend`.
+/// Each mix is `cores` copies of one workload; `cores == 1` runs the
+/// single-core cells.
 ///
 /// The paper evaluates homogeneous 8-core mixes; for those, normalizing the
 /// weighted speedup to the baseline system is equivalent to normalizing the
@@ -127,9 +50,27 @@ pub fn multicore_for(
     backend: &dyn CellBackend,
 ) -> Result<MulticoreResult, RunnerError> {
     let runner = Runner::new(scope.sim_config());
-    let plan = MulticorePlan::new(scope, mechanisms, thresholds, cores);
-    let results = backend.run_cells(&runner, plan.cells())?;
-    Ok(plan.assemble(&results))
+    // Pick the most memory-intensive workloads for the mixes: they are where
+    // multi-core contention (and tracker pressure) is visible.
+    let mixes: Vec<String> = comet_trace::mix::paper_eight_core_mixes()
+        .into_iter()
+        .take(scope.mix_count())
+        .map(|m| m.cores[0].name.clone())
+        .collect();
+    let grid = threshold_grid(mixes.clone(), mechanisms.to_vec(), thresholds, cores, |&m| m);
+    let results = backend.run_cells(&runner, grid.cells())?;
+    Ok(MulticoreResult {
+        mixes: mixes.iter().map(|m| format!("{m}-x{cores}")).collect(),
+        cells: grid
+            .slices(&results)
+            .map(|slice| MulticoreCell {
+                mechanism: slice.config.name().to_string(),
+                nrh: *slice.outer,
+                weighted_speedup: normalized_distribution(&slice.normalized_ipc()),
+                energy: normalized_distribution(&slice.normalized_energy()),
+            })
+            .collect(),
+    })
 }
 
 /// Figures 13 and 15: the five-mechanism comparison on 8-core mixes.
@@ -173,7 +114,7 @@ impl MixedMulticoreResult {
     }
 }
 
-/// The heterogeneous-mix grid as data. Unlike the homogeneous plan — where
+/// The heterogeneous-mix grid as data. Unlike the homogeneous grid — where
 /// normalizing summed IPC to the baseline cancels the alone-IPC terms — true
 /// weighted speedup needs one *alone* run per distinct (workload, mechanism,
 /// threshold): those single-core cells are enumerated alongside the mix

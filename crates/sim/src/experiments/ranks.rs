@@ -6,15 +6,13 @@
 //! tracker pressure (CoMeT's counters observe the same activation stream, but
 //! rank-level early preventive refreshes and bank contention shift).
 //!
-//! Each rank count is a distinct simulation configuration, so the sweep is a
-//! *set* of service-schedulable cell grids — one [`RankPlan`] per rank count,
-//! each executed under its own [`Runner`] — rather than one grid. The
-//! experiment service keys its cache on the full configuration, so every rank
-//! count's cells cache independently.
+//! Each rank count is a distinct simulation configuration, so the sweep runs
+//! one threshold [`Grid`](super::Grid) once per rank count, each batch under
+//! its own [`Runner`]. The experiment service keys its cache on the full
+//! configuration, so every rank count's cells cache independently.
 
-use super::GridView;
-use super::{baseline_cells, plan_grid, preventive_per_kilo_act, CellBackend, CellSpec, ExperimentScope};
-use crate::metrics::{geometric_mean, RunResult};
+use super::{preventive_per_kilo_act, threshold_grid, CellBackend, ExperimentScope};
+use crate::metrics::geometric_mean;
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use serde::Serialize;
 
@@ -50,86 +48,6 @@ pub struct RankSweepResult {
     pub points: Vec<RankPoint>,
 }
 
-/// The cell grid for one rank count: unprotected baselines then the
-/// mechanism's runs, both (threshold × workload) row-major, plus the
-/// configuration they must run under.
-#[derive(Debug, Clone)]
-pub struct RankPlan {
-    /// Ranks per channel this plan's cells simulate.
-    pub ranks: usize,
-    /// The configuration (scope config scaled to `ranks`).
-    pub config: crate::SimConfig,
-    workloads: Vec<String>,
-    thresholds: Vec<u64>,
-    cells: Vec<CellSpec>,
-}
-
-impl RankPlan {
-    /// Enumerates the grid for `mechanism` at `ranks` ranks per channel.
-    pub fn new(scope: ExperimentScope, mechanism: MechanismKind, ranks: usize, thresholds: &[u64]) -> Self {
-        let workloads = scope.workloads();
-        let mut cells = Vec::new();
-        baseline_cells(&mut cells, &workloads, thresholds);
-        plan_grid(&mut cells, thresholds, &[()], &workloads, |&nrh, _, workload| {
-            CellSpec::single(workload, mechanism, nrh)
-        });
-        RankPlan {
-            ranks,
-            config: scope.sim_config().with_ranks(ranks),
-            workloads,
-            thresholds: thresholds.to_vec(),
-            cells,
-        }
-    }
-
-    /// Every cell of the plan, in the order `assemble` expects results.
-    pub fn cells(&self) -> &[CellSpec] {
-        &self.cells
-    }
-
-    /// Folds per-cell results (parallel to [`cells`](Self::cells)) into one
-    /// [`RankPoint`] per threshold.
-    pub fn assemble(&self, results: &[RunResult]) -> Vec<RankPoint> {
-        assert_eq!(results.len(), self.cells.len(), "one result per planned cell");
-        let grid = self.thresholds.len() * self.workloads.len();
-        let baselines = GridView::new(&results[..grid], 1, self.workloads.len());
-        let runs = GridView::new(&results[grid..], 1, self.workloads.len());
-
-        let mut points = Vec::with_capacity(self.thresholds.len());
-        for (t, &nrh) in self.thresholds.iter().enumerate() {
-            let mut ipcs = Vec::new();
-            let mut energies = Vec::new();
-            let mut preventive = 0.0;
-            let mut aggressors = 0.0;
-            let mut early_rank = 0u64;
-            let mut latency = 0.0;
-            for (w, _) in self.workloads.iter().enumerate() {
-                let baseline = baselines.at(t, 0, w);
-                let run = runs.at(t, 0, w);
-                ipcs.push(run.normalized_ipc(baseline));
-                energies.push(run.normalized_energy(baseline));
-                preventive += preventive_per_kilo_act(run);
-                let kilo_acts = run.mitigation.activations_observed.max(1) as f64 / 1000.0;
-                aggressors += run.mitigation.aggressors_identified as f64 / kilo_acts;
-                early_rank += run.mitigation.early_rank_refreshes;
-                latency += run.avg_read_latency_ns;
-            }
-            let n = self.workloads.len().max(1) as f64;
-            points.push(RankPoint {
-                ranks: self.ranks,
-                nrh,
-                normalized_ipc_geomean: geometric_mean(&ipcs),
-                normalized_energy_geomean: geometric_mean(&energies),
-                preventive_per_kilo_act: preventive / n,
-                aggressors_per_kilo_act: aggressors / n,
-                early_rank_refreshes: early_rank,
-                avg_read_latency_ns: latency / n,
-            });
-        }
-        points
-    }
-}
-
 /// Runs the rank sweep for `mechanism` over explicit rank counts and
 /// thresholds. Each rank count executes as its own cell batch under its own
 /// configuration.
@@ -140,14 +58,33 @@ pub fn rank_sweep_for(
     thresholds: &[u64],
     backend: &dyn CellBackend,
 ) -> Result<RankSweepResult, RunnerError> {
+    let workloads = scope.workloads();
+    // Every rank count runs the same cells; only the runner's configuration differs.
+    let grid = threshold_grid(workloads.clone(), vec![mechanism], thresholds, 1, |&m| m);
     let mut points = Vec::new();
-    let mut workloads = Vec::new();
     for &ranks in rank_counts {
-        let plan = RankPlan::new(scope, mechanism, ranks, thresholds);
-        let runner = Runner::new(plan.config.clone());
-        let results = backend.run_cells(&runner, plan.cells())?;
-        points.extend(plan.assemble(&results));
-        workloads = plan.workloads;
+        let runner = Runner::new(scope.sim_config().with_ranks(ranks));
+        let results = backend.run_cells(&runner, grid.cells())?;
+        for slice in grid.slices(&results) {
+            let runs = || slice.runs.iter().map(|&(_, _, run)| run);
+            let n = slice.runs.len().max(1) as f64;
+            points.push(RankPoint {
+                ranks,
+                nrh: *slice.outer,
+                normalized_ipc_geomean: geometric_mean(&slice.normalized_ipc()),
+                normalized_energy_geomean: geometric_mean(&slice.normalized_energy()),
+                preventive_per_kilo_act: runs().map(preventive_per_kilo_act).sum::<f64>() / n,
+                aggressors_per_kilo_act: runs()
+                    .map(|run| {
+                        let kilo_acts = run.mitigation.activations_observed.max(1) as f64 / 1000.0;
+                        run.mitigation.aggressors_identified as f64 / kilo_acts
+                    })
+                    .sum::<f64>()
+                    / n,
+                early_rank_refreshes: runs().map(|run| run.mitigation.early_rank_refreshes).sum(),
+                avg_read_latency_ns: runs().map(|run| run.avg_read_latency_ns).sum::<f64>() / n,
+            });
+        }
     }
     Ok(RankSweepResult { mechanism: mechanism.name().to_string(), workloads, points })
 }
@@ -181,14 +118,5 @@ mod tests {
         }
         assert_eq!(result.points[0].ranks, 1);
         assert_eq!(result.points[1].ranks, 2);
-    }
-
-    #[test]
-    fn rank_plans_differ_only_in_configuration() {
-        let one = RankPlan::new(ExperimentScope::Smoke, MechanismKind::Comet, 1, &[1000]);
-        let four = RankPlan::new(ExperimentScope::Smoke, MechanismKind::Comet, 4, &[1000]);
-        assert_eq!(one.cells(), four.cells(), "cells are identical; the config carries the rank count");
-        assert_eq!(one.config.dram.geometry.ranks_per_channel, 1);
-        assert_eq!(four.config.dram.geometry.ranks_per_channel, 4);
     }
 }

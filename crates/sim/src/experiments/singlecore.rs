@@ -2,10 +2,8 @@
 //! normalized to a system without any RowHammer mitigation. Also covers the
 //! high-threshold evaluation of §8.4 (NRH = 2000 and 4000).
 
-use super::{
-    baseline_cells, plan_grid, preventive_per_kilo_act, CellBackend, CellSpec, ExperimentScope, GridView,
-};
-use crate::metrics::{geometric_mean, normalized_distribution, DistributionSummary, RunResult};
+use super::{preventive_per_kilo_act, threshold_grid, CellBackend, ExperimentScope};
+use crate::metrics::{geometric_mean, normalized_distribution, DistributionSummary};
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use serde::Serialize;
 
@@ -39,79 +37,6 @@ pub struct SingleCoreResult {
     pub ipc_distribution: Vec<(u64, DistributionSummary)>,
 }
 
-/// The Figure 10/11 cell grid as data: unprotected baselines followed by the
-/// mechanism's runs, both (threshold × workload) row-major.
-#[derive(Debug, Clone)]
-pub struct SingleCorePlan {
-    mechanism: MechanismKind,
-    workloads: Vec<String>,
-    thresholds: Vec<u64>,
-    cells: Vec<CellSpec>,
-}
-
-impl SingleCorePlan {
-    /// Enumerates the grid for `mechanism` over `scope`'s workloads.
-    pub fn new(scope: ExperimentScope, mechanism: MechanismKind, thresholds: &[u64]) -> Self {
-        let workloads = scope.workloads();
-        let mut cells = Vec::new();
-        baseline_cells(&mut cells, &workloads, thresholds);
-        plan_grid(&mut cells, thresholds, &[()], &workloads, |&nrh, _, workload| {
-            CellSpec::single(workload, mechanism, nrh)
-        });
-        SingleCorePlan { mechanism, workloads, thresholds: thresholds.to_vec(), cells }
-    }
-
-    /// Every cell of the plan, in the order `assemble` expects results.
-    pub fn cells(&self) -> &[CellSpec] {
-        &self.cells
-    }
-
-    /// Folds per-cell results (parallel to [`cells`](Self::cells)) into the
-    /// figure dataset.
-    pub fn assemble(&self, results: &[RunResult]) -> SingleCoreResult {
-        assert_eq!(results.len(), self.cells.len(), "one result per planned cell");
-        let grid = self.thresholds.len() * self.workloads.len();
-        let baselines = GridView::new(&results[..grid], 1, self.workloads.len());
-        let runs = GridView::new(&results[grid..], 1, self.workloads.len());
-
-        let mut points = Vec::new();
-        let mut ipc_geomean = Vec::new();
-        let mut energy_geomean = Vec::new();
-        let mut ipc_distribution = Vec::new();
-
-        for (t, &nrh) in self.thresholds.iter().enumerate() {
-            let mut norm_ipcs = Vec::new();
-            let mut norm_energies = Vec::new();
-            for (w, workload) in self.workloads.iter().enumerate() {
-                let baseline = baselines.at(t, 0, w);
-                let protected = runs.at(t, 0, w);
-                let normalized_ipc = protected.normalized_ipc(baseline);
-                let normalized_energy = protected.normalized_energy(baseline);
-                norm_ipcs.push(normalized_ipc);
-                norm_energies.push(normalized_energy);
-                points.push(SingleCorePoint {
-                    workload: workload.clone(),
-                    nrh,
-                    normalized_ipc,
-                    normalized_energy,
-                    preventive_refreshes_per_kilo_act: preventive_per_kilo_act(protected),
-                });
-            }
-            ipc_geomean.push((nrh, geometric_mean(&norm_ipcs)));
-            energy_geomean.push((nrh, geometric_mean(&norm_energies)));
-            ipc_distribution.push((nrh, normalized_distribution(&norm_ipcs)));
-        }
-
-        SingleCoreResult {
-            mechanism: self.mechanism.name().to_string(),
-            points,
-            ipc_geomean,
-            energy_geomean,
-            ipc_distribution,
-        }
-    }
-}
-
 /// Runs the Figure 10/11 experiment for `mechanism` over `thresholds`,
 /// executing every (workload × threshold) cell through `backend`.
 pub fn singlecore_for(
@@ -121,9 +46,33 @@ pub fn singlecore_for(
     backend: &dyn CellBackend,
 ) -> Result<SingleCoreResult, RunnerError> {
     let runner = Runner::new(scope.sim_config());
-    let plan = SingleCorePlan::new(scope, mechanism, thresholds);
-    let results = backend.run_cells(&runner, plan.cells())?;
-    Ok(plan.assemble(&results))
+    let grid = threshold_grid(scope.workloads(), vec![mechanism], thresholds, 1, |&m| m);
+    let results = backend.run_cells(&runner, grid.cells())?;
+    let mut result = SingleCoreResult {
+        mechanism: mechanism.name().to_string(),
+        points: Vec::new(),
+        ipc_geomean: Vec::new(),
+        energy_geomean: Vec::new(),
+        ipc_distribution: Vec::new(),
+    };
+    for slice in grid.slices(&results) {
+        let nrh = *slice.outer;
+        let ipc = slice.normalized_ipc();
+        let energy = slice.normalized_energy();
+        for (i, &(workload, _, run)) in slice.runs.iter().enumerate() {
+            result.points.push(SingleCorePoint {
+                workload: workload.to_string(),
+                nrh,
+                normalized_ipc: ipc[i],
+                normalized_energy: energy[i],
+                preventive_refreshes_per_kilo_act: preventive_per_kilo_act(run),
+            });
+        }
+        result.ipc_geomean.push((nrh, geometric_mean(&ipc)));
+        result.energy_geomean.push((nrh, geometric_mean(&energy)));
+        result.ipc_distribution.push((nrh, normalized_distribution(&ipc)));
+    }
+    Ok(result)
 }
 
 /// Figures 10 and 11: CoMeT across the paper's four RowHammer thresholds.
@@ -160,14 +109,5 @@ mod tests {
             assert!(p.normalized_ipc > 0.5 && p.normalized_ipc <= 1.05, "{p:?}");
             assert!(p.normalized_energy > 0.9 && p.normalized_energy < 1.5, "{p:?}");
         }
-    }
-
-    #[test]
-    fn plan_enumerates_baselines_then_runs() {
-        let plan = SingleCorePlan::new(ExperimentScope::Smoke, MechanismKind::Comet, &[1000, 125]);
-        let workloads = ExperimentScope::Smoke.workloads().len();
-        assert_eq!(plan.cells().len(), 2 * 2 * workloads);
-        assert!(plan.cells()[..2 * workloads].iter().all(|c| c.mechanism == MechanismKind::Baseline));
-        assert!(plan.cells()[2 * workloads..].iter().all(|c| c.mechanism == MechanismKind::Comet));
     }
 }

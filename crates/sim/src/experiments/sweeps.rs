@@ -1,11 +1,10 @@
 //! Design-space sweeps: Figure 6 (Counter Table), Figure 7 (RAT size),
-//! Figure 8 (early preventive refresh), Figure 9 (reset period k), and the
-//! ablation studies listed in DESIGN.md.
+//! Figure 8 (early preventive refresh), Figure 9 (reset period k), and an
+//! ablation that removes CoMeT's Recent Aggressor Table or its early
+//! preventive refresh.
 
-use super::{
-    baseline_cells, homogeneous_baseline_cells, plan_grid, CellBackend, CellSpec, ExperimentScope, GridView,
-};
-use crate::metrics::{geometric_mean, RunResult};
+use super::{threshold_grid, CellBackend, ExperimentScope};
+use crate::metrics::geometric_mean;
 use crate::runner::{MechanismKind, Runner, RunnerError};
 use serde::Serialize;
 
@@ -22,90 +21,30 @@ pub struct SweepPoint {
     pub normalized_energy_geomean: f64,
 }
 
-/// A sweep cell grid as data: per-(threshold × workload) baselines shared by
-/// every configuration point, followed by the (threshold × configuration ×
-/// workload) grid. `cores == 1` sweeps single-core workloads; `cores > 1`
-/// sweeps homogeneous mixes (Figure 8).
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    configs: Vec<(String, MechanismKind)>,
-    workloads: Vec<String>,
-    thresholds: Vec<u64>,
-    cells: Vec<CellSpec>,
-}
-
-impl SweepPlan {
-    /// Enumerates the grid for `configs` over `workloads`.
-    pub fn new(
-        workloads: Vec<String>,
-        configs: &[(String, MechanismKind)],
-        thresholds: &[u64],
-        cores: usize,
-    ) -> Self {
-        let mut cells = Vec::new();
-        if cores <= 1 {
-            baseline_cells(&mut cells, &workloads, thresholds);
-        } else {
-            homogeneous_baseline_cells(&mut cells, &workloads, cores, thresholds);
-        }
-        plan_grid(&mut cells, thresholds, configs, &workloads, |&nrh, (_, kind), workload| {
-            if cores <= 1 {
-                CellSpec::single(workload, *kind, nrh)
-            } else {
-                CellSpec::homogeneous(workload, cores, *kind, nrh)
-            }
-        });
-        SweepPlan { configs: configs.to_vec(), workloads, thresholds: thresholds.to_vec(), cells }
-    }
-
-    /// Every cell of the plan, in the order `assemble` expects results.
-    pub fn cells(&self) -> &[CellSpec] {
-        &self.cells
-    }
-
-    /// Folds per-cell results (parallel to [`cells`](Self::cells)) into
-    /// sweep points, one per (threshold, configuration).
-    pub fn assemble(&self, results: &[RunResult]) -> Vec<SweepPoint> {
-        assert_eq!(results.len(), self.cells.len(), "one result per planned cell");
-        let baseline_len = self.thresholds.len() * self.workloads.len();
-        let baselines = GridView::new(&results[..baseline_len], 1, self.workloads.len());
-        let runs = GridView::new(&results[baseline_len..], self.configs.len(), self.workloads.len());
-
-        let mut points = Vec::with_capacity(self.thresholds.len() * self.configs.len());
-        for (t, &nrh) in self.thresholds.iter().enumerate() {
-            for (c, (label, _)) in self.configs.iter().enumerate() {
-                let mut ipcs = Vec::new();
-                let mut energies = Vec::new();
-                for (w, _) in self.workloads.iter().enumerate() {
-                    let baseline = baselines.at(t, 0, w);
-                    let run = runs.at(t, c, w);
-                    ipcs.push(run.normalized_ipc(baseline));
-                    energies.push(run.normalized_energy(baseline));
-                }
-                points.push(SweepPoint {
-                    configuration: label.clone(),
-                    nrh,
-                    normalized_ipc_geomean: geometric_mean(&ipcs),
-                    normalized_energy_geomean: geometric_mean(&energies),
-                });
-            }
-        }
-        points
-    }
-}
-
-/// Runs a grid of single-core sweep configurations: baselines are simulated
-/// once per (workload, threshold) and shared by every configuration point.
-fn sweep_grid(
+/// Runs `configs` over `workloads` at every threshold, on one core
+/// (`cores <= 1`) or as `cores`-copy homogeneous mixes, and reports one point
+/// per (threshold, configuration). Baselines are simulated once per
+/// (threshold, workload) and shared by every configuration.
+fn sweep(
     scope: ExperimentScope,
-    configs: &[(String, MechanismKind)],
+    workloads: Vec<String>,
+    configs: Vec<(String, MechanismKind)>,
     thresholds: &[u64],
+    cores: usize,
     backend: &dyn CellBackend,
 ) -> Result<Vec<SweepPoint>, RunnerError> {
     let runner = Runner::new(scope.sim_config());
-    let plan = SweepPlan::new(scope.workloads(), configs, thresholds, 1);
-    let results = backend.run_cells(&runner, plan.cells())?;
-    Ok(plan.assemble(&results))
+    let grid = threshold_grid(workloads, configs, thresholds, cores, |(_, kind)| *kind);
+    let results = backend.run_cells(&runner, grid.cells())?;
+    Ok(grid
+        .slices(&results)
+        .map(|slice| SweepPoint {
+            configuration: slice.config.0.clone(),
+            nrh: *slice.outer,
+            normalized_ipc_geomean: geometric_mean(&slice.normalized_ipc()),
+            normalized_energy_geomean: geometric_mean(&slice.normalized_energy()),
+        })
+        .collect())
 }
 
 fn comet_custom(
@@ -152,7 +91,7 @@ pub fn fig6_ct_sweep(
             })
         })
         .collect();
-    sweep_grid(scope, &configs, &[nrh], backend)
+    sweep(scope, scope.workloads(), configs, &[nrh], 1, backend)
 }
 
 /// Figure 7: sweep of the Recent Aggressor Table size across thresholds,
@@ -167,7 +106,7 @@ pub fn fig7_rat_sweep(
     };
     let configs: Vec<(String, MechanismKind)> =
         rat_sizes.iter().map(|&rat| (format!("NRAT={rat}"), comet_custom(4, 512, rat, 3, 256, 25))).collect();
-    sweep_grid(scope, &configs, &scope.thresholds(), backend)
+    sweep(scope, scope.workloads(), configs, &scope.thresholds(), 1, backend)
 }
 
 /// Figure 8: sweep of the early-preventive-refresh threshold (EPRT) and the RAT
@@ -176,7 +115,6 @@ pub fn fig8_eprt_sweep(
     scope: ExperimentScope,
     backend: &dyn CellBackend,
 ) -> Result<Vec<SweepPoint>, RunnerError> {
-    let runner = Runner::new(scope.sim_config());
     let nrh = 125;
     let cores = match scope {
         ExperimentScope::Smoke => 2,
@@ -203,10 +141,7 @@ pub fn fig8_eprt_sweep(
             })
         })
         .collect();
-
-    let plan = SweepPlan::new(mixes, &configs, &[nrh], cores);
-    let results = backend.run_cells(&runner, plan.cells())?;
-    Ok(plan.assemble(&results))
+    sweep(scope, mixes, configs, &[nrh], cores, backend)
 }
 
 /// Figure 9: sweep of the reset-period divisor `k` (and thus `NPR = NRH/(k+1)`).
@@ -221,11 +156,12 @@ pub fn fig9_k_sweep(
     // k = 5 at NRH = 125 gives NPR = 20, still a valid configuration.
     let configs: Vec<(String, MechanismKind)> =
         ks.iter().map(|&k| (format!("k={k}"), comet_custom(4, 512, 128, k, 256, 25))).collect();
-    sweep_grid(scope, &configs, &scope.thresholds(), backend)
+    sweep(scope, scope.workloads(), configs, &scope.thresholds(), 1, backend)
 }
 
-/// Ablation: CoMeT without the Recent Aggressor Table, without early preventive
-/// refresh, and the full design, at one threshold (DESIGN.md §3).
+/// Ablation: the full CoMeT design against CoMeT without the Recent Aggressor
+/// Table, with an 8-entry one, and without early preventive refresh, at one
+/// threshold.
 pub fn ablation(
     scope: ExperimentScope,
     nrh: u64,
@@ -238,7 +174,7 @@ pub fn ablation(
         // EPRT at 100 % means the early refresh effectively never fires.
         ("no-early-refresh".to_string(), comet_custom(4, 512, 128, 3, 256, 100)),
     ];
-    sweep_grid(scope, &configs, &[nrh], backend)
+    sweep(scope, scope.workloads(), configs, &[nrh], 1, backend)
 }
 
 #[cfg(test)]

@@ -295,23 +295,6 @@ impl Runner {
             Box::new(AttackTrace::new(attack, self.config.dram.geometry.clone(), self.seed ^ 0xA77AC));
         self.run_system(vec![benign, attacker], kind, nrh, format!("{workload}+attack"))
     }
-
-    /// Runs `workload` under every mechanism of `kinds`, returning
-    /// `(kind, result)` pairs. The baseline is always included first.
-    pub fn run_comparison(
-        &self,
-        workload: &str,
-        kinds: &[MechanismKind],
-        nrh: u64,
-    ) -> Result<Vec<(MechanismKind, RunResult)>, RunnerError> {
-        let mut results = Vec::with_capacity(kinds.len() + 1);
-        results
-            .push((MechanismKind::Baseline, self.run_single_core(workload, MechanismKind::Baseline, nrh)?));
-        for &kind in kinds {
-            results.push((kind, self.run_single_core(workload, kind, nrh)?));
-        }
-        Ok(results)
-    }
 }
 
 #[cfg(test)]
@@ -346,15 +329,6 @@ mod tests {
         let normalized = comet.normalized_ipc(&baseline);
         assert!(normalized > 0.85, "CoMeT normalized IPC too low: {normalized}");
         assert!(normalized < 1.05, "CoMeT cannot be faster than the baseline: {normalized}");
-    }
-
-    #[test]
-    fn comparison_includes_baseline_first() {
-        let r = runner();
-        let results = r.run_comparison("473.astar", &[MechanismKind::Comet], 1000).unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, MechanismKind::Baseline);
-        assert_eq!(results[1].0, MechanismKind::Comet);
     }
 
     #[test]

@@ -49,7 +49,9 @@ impl SimConfig {
     /// reset window (`tREFW`) is scaled down by `refw_divisor` (periodic refresh
     /// cadence `tREFI` is left untouched, so the baseline refresh overhead stays
     /// realistic) and the simulation covers two full CoMeT reset periods of the
-    /// scaled window. See EXPERIMENTS.md for the fidelity discussion.
+    /// scaled window. Trackers reset every scaled window, so rows accumulate
+    /// fewer activations between resets than in [`paper_full`](Self::paper_full)
+    /// and tracker pressure reads lower; paper-grade figures use the full scope.
     pub fn quick(refw_divisor: u64) -> Self {
         let mut dram = DramConfig::ddr4_paper_default();
         dram.timing.t_refw /= refw_divisor.max(1);

@@ -10,7 +10,7 @@
 //! crate generates *synthetic* LLC-miss traces calibrated to each workload's
 //! published RBMPKI class, bandwidth, and a row-locality parameter — the
 //! first-order statistics that determine how hard a workload presses on a
-//! RowHammer tracker. See DESIGN.md for the substitution rationale.
+//! RowHammer tracker.
 //!
 //! The crate also provides the adversarial access patterns of §8.2: a
 //! traditional many-row RowHammer attack, a CoMeT-targeted RAT-thrashing
