@@ -26,7 +26,6 @@
 //! If any target fails, a per-target error summary is printed and the exit
 //! code is nonzero. A JSON file that cannot be written fails its target.
 
-use comet_bench::parse_scope;
 use comet_service::ExperimentService;
 use comet_sim::experiments::{self, CellBackend, ExperimentScope, ParallelExecutor};
 use comet_sim::SimConfig;
@@ -65,7 +64,7 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--scope" => {
                 let value = value_for(&mut args, "--scope");
-                scope = parse_scope(&value).unwrap_or_else(|| {
+                scope = ExperimentScope::from_name(&value).unwrap_or_else(|| {
                     eprintln!("unknown scope '{value}', using quick");
                     ExperimentScope::Quick
                 });

@@ -4,27 +4,23 @@
 //! Usage:
 //!
 //! ```text
-//! perf [--cells smoke|full|all] [--suite] [--out FILE] [--label TEXT] [--before FILE]
-//!      [--spans OUT.jsonl]
-//! perf --tracker [--out FILE] [--label TEXT] [--before FILE]
-//! perf --check FILE [--max-regress PCT]
-//! perf --diff OLD.json NEW.json
+//! perf [--cells smoke|full|all] [--suite] [--out FILE] [--label TEXT] [--spans OUT.jsonl]
+//! perf --tracker [--out FILE] [--label TEXT]
+//! perf --diff OLD.json NEW.json [--max-regress PCT]
 //! perf --print-goldens
 //! ```
 //!
 //! * Default mode runs the requested basket(s), prints a per-cell table, and
-//!   (with `--out`) writes a JSON snapshot. `--before FILE` embeds the
-//!   headline numbers of an earlier snapshot and the resulting speedup.
-//! * `--check FILE` re-times the smoke basket and exits non-zero when the
-//!   measured accesses/sec fall more than `--max-regress` percent (default
-//!   30) below the `ci_reference_smoke_accesses_per_sec` recorded in FILE —
-//!   the CI bench-smoke regression gate.
+//!   (with `--out`) writes a JSON [`Snapshot`] of the sections it ran.
 //! * `--diff OLD NEW` compares two snapshots without running anything: a
 //!   per-cell speedup table (Markdown, so it can be piped straight into a CI
 //!   job summary) plus basket, attack-cell, and suite aggregates. Every cell
 //!   carries a checksum of its simulated state, so the diff is also a
 //!   bit-exactness check: it exits 1, after printing the report, when any
 //!   cell present in both snapshots has a different checksum.
+//!   `--max-regress PCT` adds a throughput gate, the CI bench-smoke gate: it
+//!   also exits 1 when a basket both snapshots have runs more than `PCT`
+//!   percent fewer accesses/sec in NEW than in OLD.
 //! * `--print-goldens` runs the smoke basket and the FCFS stress cells and
 //!   prints the golden checksum tables consumed by
 //!   `crates/bench/tests/bitexact_hotpath.rs`.
@@ -43,59 +39,20 @@
 //! Every basket cell runs through the serial event-driven loop, one cell at
 //! a time, so the numbers are not confounded by parallel cell execution.
 
-use comet_bench::hotpath::CellResult;
 use comet_bench::hotpath::{
-    run_basket, run_cells, run_suite_smoke_serial, stress_basket, BasketResult, HotpathScope, SuiteResult,
+    run_basket, run_cells, run_suite_smoke_serial, stress_basket, BasketResult, CellResult, HotpathScope,
 };
 use comet_bench::tracker::{tracker_suite, TRACKER_NOW_STEP};
-use serde::{Deserialize, Serialize, Value};
+use comet_bench::{Snapshot, SNAPSHOT_SCHEMA};
+use serde::Deserialize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-#[derive(Debug, Clone, Serialize)]
-struct BeforeSummary {
-    label: String,
-    full_accesses_per_sec: Option<f64>,
-    smoke_accesses_per_sec: Option<f64>,
-    suite_wall_s: Option<f64>,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct Snapshot {
-    schema: &'static str,
-    label: String,
-    /// Headline metrics, duplicated at the top level, where the CI gate
-    /// (`--check`) and `--before` read them.
-    full_accesses_per_sec: Option<f64>,
-    smoke_accesses_per_sec: Option<f64>,
-    /// Wall-clock of the full experiment suite (smoke scope, serial) — the
-    /// macro benchmark; see `hotpath::run_suite_smoke_serial`.
-    suite_wall_s: Option<f64>,
-    /// The reference number the CI bench-smoke job regresses against.
-    ci_reference_smoke_accesses_per_sec: Option<f64>,
-    full: Option<BasketResult>,
-    smoke: Option<BasketResult>,
-    suite: Option<SuiteResult>,
-    before: Option<BeforeSummary>,
-    speedup_full: Option<f64>,
-    speedup_smoke: Option<f64>,
-    speedup_suite: Option<f64>,
-}
-
-/// Reads and parses a snapshot written by an earlier `perf` run.
-fn read_snapshot(path: &Path) -> Result<Value, String> {
+/// Reads and decodes a snapshot written by an earlier `perf` run.
+fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
-/// A snapshot's top-level label, or `default`.
-fn label(snapshot: &Value, default: &str) -> String {
-    snapshot.get("label").and_then(Value::as_str).unwrap_or(default).to_string()
-}
-
-/// A snapshot's non-empty `full`, `smoke` or `tracker` basket section.
-fn basket(snapshot: &Value, scope: &str) -> Option<BasketResult> {
-    BasketResult::from_value(snapshot.get(scope)?).ok().filter(|basket| !basket.cells.is_empty())
+    let value = serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    Snapshot::from_value(&value).map_err(|e| format!("cannot decode {}: {e}", path.display()))
 }
 
 struct Args {
@@ -104,10 +61,8 @@ struct Args {
     tracker: bool,
     out: Option<PathBuf>,
     label: String,
-    before: Option<PathBuf>,
-    check: Option<PathBuf>,
     diff: Option<(PathBuf, PathBuf)>,
-    max_regress_pct: f64,
+    max_regress_pct: Option<f64>,
     print_goldens: bool,
     spans: Option<PathBuf>,
 }
@@ -119,10 +74,8 @@ fn parse_args() -> Args {
         tracker: false,
         out: None,
         label: "hot-path basket".to_string(),
-        before: None,
-        check: None,
         diff: None,
-        max_regress_pct: 30.0,
+        max_regress_pct: None,
         print_goldens: false,
         spans: None,
     };
@@ -148,8 +101,6 @@ fn parse_args() -> Args {
             }
             "--out" => args.out = Some(PathBuf::from(value_for(&mut it, "--out"))),
             "--label" => args.label = value_for(&mut it, "--label"),
-            "--before" => args.before = Some(PathBuf::from(value_for(&mut it, "--before"))),
-            "--check" => args.check = Some(PathBuf::from(value_for(&mut it, "--check"))),
             "--diff" => {
                 let old = PathBuf::from(value_for(&mut it, "--diff"));
                 let new = PathBuf::from(value_for(&mut it, "--diff"));
@@ -157,10 +108,10 @@ fn parse_args() -> Args {
             }
             "--max-regress" => {
                 let value = value_for(&mut it, "--max-regress");
-                args.max_regress_pct = value.parse().unwrap_or_else(|_| {
+                args.max_regress_pct = Some(value.parse().unwrap_or_else(|_| {
                     eprintln!("error: invalid --max-regress '{value}'");
                     std::process::exit(2);
-                });
+                }));
             }
             "--suite" => args.suite = true,
             "--tracker" => args.tracker = true,
@@ -168,11 +119,10 @@ fn parse_args() -> Args {
             "--spans" => args.spans = Some(PathBuf::from(value_for(&mut it, "--spans"))),
             "help" | "--help" | "-h" => {
                 println!(
-                    "usage: perf [--cells smoke|full|all] [--suite] [--out FILE] [--label TEXT] [--before FILE] [--spans OUT.jsonl]"
+                    "usage: perf [--cells smoke|full|all] [--suite] [--out FILE] [--label TEXT] [--spans OUT.jsonl]"
                 );
-                println!("       perf --tracker [--out FILE] [--label TEXT] [--before FILE]");
-                println!("       perf --check FILE [--max-regress PCT]");
-                println!("       perf --diff OLD.json NEW.json");
+                println!("       perf --tracker [--out FILE] [--label TEXT]");
+                println!("       perf --diff OLD.json NEW.json [--max-regress PCT]");
                 println!("       perf --print-goldens");
                 std::process::exit(0);
             }
@@ -181,6 +131,10 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             }
         }
+    }
+    if args.max_regress_pct.is_some() && args.diff.is_none() {
+        eprintln!("error: --max-regress gates a --diff");
+        std::process::exit(2);
     }
     args
 }
@@ -202,68 +156,6 @@ fn print_basket(result: &BasketResult) {
         "total: {} accesses in {:.2} s  ->  {:.0} accesses/sec, {:.2} cells/sec",
         result.accesses, result.wall_s, result.accesses_per_sec, result.cells_per_sec
     );
-}
-
-fn run_check(path: &Path, max_regress_pct: f64, out: Option<&PathBuf>) -> ExitCode {
-    let snapshot = match read_snapshot(path) {
-        Ok(snapshot) => snapshot,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(reference) = snapshot.get("ci_reference_smoke_accesses_per_sec").and_then(Value::as_f64) else {
-        eprintln!("error: {} has no ci_reference_smoke_accesses_per_sec", path.display());
-        return ExitCode::from(2);
-    };
-    let current = match run_basket(HotpathScope::Smoke) {
-        Ok(result) => {
-            print_basket(&result);
-            if let Some(out) = out {
-                // Write a full snapshot (not a bare basket result) so the
-                // artifact can itself be fed back into --check / --before.
-                let snapshot = Snapshot {
-                    schema: "bench-hotpath/1",
-                    label: "bench-smoke gate measurement".to_string(),
-                    full_accesses_per_sec: None,
-                    smoke_accesses_per_sec: Some(result.accesses_per_sec),
-                    suite_wall_s: None,
-                    ci_reference_smoke_accesses_per_sec: Some(result.accesses_per_sec),
-                    full: None,
-                    smoke: Some(result.clone()),
-                    suite: None,
-                    before: None,
-                    speedup_full: None,
-                    speedup_smoke: None,
-                    speedup_suite: None,
-                };
-                match serde_json::to_string_pretty(&snapshot) {
-                    Ok(json) => {
-                        if let Err(e) = std::fs::write(out, json + "\n") {
-                            eprintln!("warning: cannot write {}: {e}", out.display());
-                        }
-                    }
-                    Err(e) => eprintln!("warning: cannot serialize smoke snapshot: {e}"),
-                }
-            }
-            result.accesses_per_sec
-        }
-        Err(e) => {
-            eprintln!("error: smoke basket failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let floor = reference * (1.0 - max_regress_pct / 100.0);
-    println!(
-        "\nbench-smoke gate: current {current:.0} accesses/sec vs reference {reference:.0} \
-         (floor {floor:.0}, max regression {max_regress_pct:.0}%)"
-    );
-    if current < floor {
-        eprintln!("FAIL: hot-path throughput regressed more than {max_regress_pct:.0}%");
-        return ExitCode::FAILURE;
-    }
-    println!("OK");
-    ExitCode::SUCCESS
 }
 
 fn print_goldens() -> ExitCode {
@@ -297,29 +189,9 @@ fn print_goldens() -> ExitCode {
     }
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct TrackerSpeedup {
-    label: String,
-    speedup: f64,
-}
-
-/// Snapshot written by `perf --tracker`: the per-mechanism tracker-core
-/// microbench suite (pure ACT-stream driver, no DRAM model). The `tracker`
-/// section is a basket result, so `perf --diff` decodes and renders it like
-/// the simulation baskets.
-#[derive(Debug, Clone, Serialize)]
-struct TrackerSnapshot {
-    schema: &'static str,
-    label: String,
-    tracker_acts_per_sec: f64,
-    tracker: BasketResult,
-    before_label: Option<String>,
-    speedups: Vec<TrackerSpeedup>,
-    speedup_geomean: Option<f64>,
-}
-
-/// Runs the tracker microbench suite and prints/records it.
-fn run_tracker(args: &Args) -> ExitCode {
+/// Runs the tracker microbench suite, prints it, and returns it as a basket
+/// whose accesses are activations.
+fn run_tracker() -> BasketResult {
     let mut cells = Vec::new();
     println!("-- tracker microbench suite: {} cells --", tracker_suite().len());
     println!("{:<22} {:>10} {:>9} {:>14} {:>18}", "Cell", "acts", "wall (s)", "acts/sec", "checksum");
@@ -350,71 +222,14 @@ fn run_tracker(args: &Args) -> ExitCode {
     }
     let acts_per_sec = if total_wall > 0.0 { total_acts as f64 / total_wall } else { 0.0 };
     println!("total: {total_acts} activations in {total_wall:.2} s  ->  {acts_per_sec:.0} acts/sec");
-
-    let mut snapshot = TrackerSnapshot {
-        schema: "bench-tracker/1",
-        label: args.label.clone(),
-        tracker_acts_per_sec: acts_per_sec,
-        tracker: BasketResult {
-            scope: "tracker".to_string(),
-            wall_s: total_wall,
-            accesses: total_acts,
-            accesses_per_sec: acts_per_sec,
-            cells_per_sec: if total_wall > 0.0 { cells.len() as f64 / total_wall } else { 0.0 },
-            cells,
-        },
-        before_label: None,
-        speedups: Vec::new(),
-        speedup_geomean: None,
-    };
-
-    if let Some(path) = &args.before {
-        match read_snapshot(path) {
-            Ok(before) => {
-                let old_cells = basket(&before, "tracker").map(|b| b.cells).unwrap_or_default();
-                snapshot.before_label = Some(label(&before, "before"));
-                for cell in &snapshot.tracker.cells {
-                    let Some(old) = old_cells.iter().find(|c| c.label == cell.label) else { continue };
-                    if old.accesses_per_sec > 0.0 {
-                        snapshot.speedups.push(TrackerSpeedup {
-                            label: cell.label.clone(),
-                            speedup: cell.accesses_per_sec / old.accesses_per_sec,
-                        });
-                    }
-                }
-                let ratios: Vec<f64> = snapshot.speedups.iter().map(|s| s.speedup).collect();
-                if let Some((g, n)) = geomean(&ratios) {
-                    snapshot.speedup_geomean = Some(g);
-                    println!(
-                        "\nper-cell tracker speedup vs '{}':",
-                        snapshot.before_label.as_deref().unwrap_or("before")
-                    );
-                    for s in &snapshot.speedups {
-                        println!("  {:<22} {:.2}x", s.label, s.speedup);
-                    }
-                    println!("tracker speedup geomean: {g:.2}x over {n} cells");
-                }
-            }
-            Err(e) => eprintln!("warning: --before: {e}"),
-        }
+    BasketResult {
+        scope: "tracker".to_string(),
+        wall_s: total_wall,
+        accesses: total_acts,
+        accesses_per_sec: acts_per_sec,
+        cells_per_sec: if total_wall > 0.0 { cells.len() as f64 / total_wall } else { 0.0 },
+        cells,
     }
-
-    if let Some(out) = &args.out {
-        match serde_json::to_string_pretty(&snapshot) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(out, json + "\n") {
-                    eprintln!("error: cannot write {}: {e}", out.display());
-                    return ExitCode::from(2);
-                }
-                println!("\nwrote {}", out.display());
-            }
-            Err(e) => {
-                eprintln!("error: cannot serialize tracker snapshot: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// Geometric mean of per-cell speedups and the number of cells it covers
@@ -430,10 +245,17 @@ fn geomean(speedups: &[f64]) -> Option<(f64, usize)> {
     Some((g, positive.len()))
 }
 
+/// A snapshot section with at least one cell.
+fn non_empty(basket: &Option<BasketResult>) -> Option<&BasketResult> {
+    basket.as_ref().filter(|basket| !basket.cells.is_empty())
+}
+
 /// Compares two snapshots cell by cell and prints a Markdown speedup report
 /// (suitable for a terminal and for a CI job summary alike). Exits 1 when a
-/// cell's checksum drifted, 2 when the snapshots cannot be compared.
-fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
+/// cell's checksum drifted or, with `max_regress_pct`, when a basket's
+/// aggregate throughput fell by more than that percentage; 2 when the
+/// snapshots cannot be compared.
+fn run_diff(old_path: &Path, new_path: &Path, max_regress_pct: Option<f64>) -> ExitCode {
     let (old, new) = match (read_snapshot(old_path), read_snapshot(new_path)) {
         (Ok(old), Ok(new)) => (old, new),
         (Err(e), _) | (_, Err(e)) => {
@@ -443,11 +265,17 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
     };
     println!("## perf diff");
     println!();
-    println!("before: `{}` — after: `{}`", label(&old, "old"), label(&new, "new"));
+    println!("before: `{}` — after: `{}`", old.label, new.label);
     let mut compared_anything = false;
     let mut drifted = 0;
-    for scope in ["full", "smoke", "tracker"] {
-        let (Some(old_basket), Some(new_basket)) = (basket(&old, scope), basket(&new, scope)) else {
+    let mut regressed = Vec::new();
+    let sections = [
+        ("full", &old.full, &new.full),
+        ("smoke", &old.smoke, &new.smoke),
+        ("tracker", &old.tracker, &new.tracker),
+    ];
+    for (scope, old_basket, new_basket) in sections {
+        let (Some(old_basket), Some(new_basket)) = (non_empty(old_basket), non_empty(new_basket)) else {
             continue;
         };
         let (old_cells, new_cells) = (&old_basket.cells, &new_basket.cells);
@@ -505,6 +333,16 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
                 new_agg / old_agg
             );
         }
+        if let Some(pct) = max_regress_pct {
+            let floor = old_agg * (1.0 - pct / 100.0);
+            let verdict = if new_agg < floor { "**FAIL**" } else { "ok" };
+            println!(
+                "- {scope} gate: {new_agg:.0} vs floor {floor:.0} {unit} (max regression {pct}%): {verdict}"
+            );
+            if new_agg < floor {
+                regressed.push(scope);
+            }
+        }
         if let Some((g, n)) = geomean(&speedups) {
             println!("- per-cell speedup geomean: {g:.2}x over {n} cells");
         }
@@ -524,9 +362,9 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
             drifted += checksum_drift.len();
         }
     }
-    let suite_wall_s = |snapshot: &Value| snapshot.get("suite_wall_s").and_then(Value::as_f64);
-    match (suite_wall_s(&old), suite_wall_s(&new)) {
-        (Some(old_wall), Some(new_wall)) if new_wall > 0.0 => {
+    if let (Some(old_suite), Some(new_suite)) = (&old.suite, &new.suite) {
+        let (old_wall, new_wall) = (old_suite.wall_s, new_suite.wall_s);
+        if new_wall > 0.0 {
             println!();
             println!(
                 "- experiment-suite wall-clock: {:.2}x ({old_wall:.1} s → {new_wall:.1} s)",
@@ -534,7 +372,6 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
             );
             compared_anything = true;
         }
-        _ => {}
     }
     if !compared_anything {
         eprintln!("error: the snapshots share no basket or suite section to compare");
@@ -542,6 +379,11 @@ fn run_diff(old_path: &Path, new_path: &Path) -> ExitCode {
     }
     if drifted > 0 {
         eprintln!("FAIL: {drifted} cell checksum(s) drifted");
+    }
+    if !regressed.is_empty() {
+        eprintln!("FAIL: {} throughput fell below the --max-regress floor", regressed.join(", "));
+    }
+    if drifted > 0 || !regressed.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -568,106 +410,52 @@ fn main() -> ExitCode {
 
 fn run(args: &Args) -> ExitCode {
     if let Some((old, new)) = &args.diff {
-        return run_diff(old, new);
-    }
-    if let Some(path) = &args.check {
-        return run_check(path, args.max_regress_pct, args.out.as_ref());
+        return run_diff(old, new, args.max_regress_pct);
     }
     if args.print_goldens {
         return print_goldens();
     }
-    if args.tracker {
-        return run_tracker(args);
-    }
 
     let mut snapshot = Snapshot {
-        schema: "bench-hotpath/1",
+        schema: SNAPSHOT_SCHEMA.to_string(),
         label: args.label.clone(),
-        full_accesses_per_sec: None,
-        smoke_accesses_per_sec: None,
-        suite_wall_s: None,
-        ci_reference_smoke_accesses_per_sec: None,
         full: None,
         smoke: None,
+        tracker: None,
         suite: None,
-        before: None,
-        speedup_full: None,
-        speedup_smoke: None,
-        speedup_suite: None,
     };
-    for &scope in &args.scopes {
-        match run_basket(scope) {
-            Ok(result) => {
-                print_basket(&result);
-                match scope {
-                    HotpathScope::Full => {
-                        snapshot.full_accesses_per_sec = Some(result.accesses_per_sec);
-                        snapshot.full = Some(result);
-                    }
-                    HotpathScope::Smoke => {
-                        snapshot.smoke_accesses_per_sec = Some(result.accesses_per_sec);
-                        snapshot.ci_reference_smoke_accesses_per_sec = Some(result.accesses_per_sec);
-                        snapshot.smoke = Some(result);
+    if args.tracker {
+        snapshot.tracker = Some(run_tracker());
+    } else {
+        for &scope in &args.scopes {
+            match run_basket(scope) {
+                Ok(result) => {
+                    print_basket(&result);
+                    match scope {
+                        HotpathScope::Full => snapshot.full = Some(result),
+                        HotpathScope::Smoke => snapshot.smoke = Some(result),
                     }
                 }
-            }
-            Err(e) => {
-                eprintln!("error: {} basket failed: {e}", scope.name());
-                return ExitCode::from(2);
+                Err(e) => {
+                    eprintln!("error: {} basket failed: {e}", scope.name());
+                    return ExitCode::from(2);
+                }
             }
         }
-    }
-
-    if args.suite {
-        match run_suite_smoke_serial() {
-            Ok(result) => {
-                println!("\n-- experiment suite (smoke scope, serial): {:.2} s --", result.wall_s);
-                for t in &result.targets {
-                    println!("  {:<12} {:>7.2} s", t.name, t.wall_s);
+        if args.suite {
+            match run_suite_smoke_serial() {
+                Ok(result) => {
+                    println!("\n-- experiment suite (smoke scope, serial): {:.2} s --", result.wall_s);
+                    for t in &result.targets {
+                        println!("  {:<12} {:>7.2} s", t.name, t.wall_s);
+                    }
+                    snapshot.suite = Some(result);
                 }
-                snapshot.suite_wall_s = Some(result.wall_s);
-                snapshot.suite = Some(result);
+                Err(e) => {
+                    eprintln!("error: experiment suite failed: {e}");
+                    return ExitCode::from(2);
+                }
             }
-            Err(e) => {
-                eprintln!("error: experiment suite failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if let Some(path) = &args.before {
-        match read_snapshot(path) {
-            Ok(earlier) => {
-                let before = BeforeSummary {
-                    label: label(&earlier, "before"),
-                    full_accesses_per_sec: earlier.get("full_accesses_per_sec").and_then(Value::as_f64),
-                    smoke_accesses_per_sec: earlier.get("smoke_accesses_per_sec").and_then(Value::as_f64),
-                    suite_wall_s: earlier.get("suite_wall_s").and_then(Value::as_f64),
-                };
-                let speedup = |now: Option<f64>, was: Option<f64>| match (now, was) {
-                    (Some(now), Some(was)) if was > 0.0 => Some(now / was),
-                    _ => None,
-                };
-                snapshot.speedup_full = speedup(snapshot.full_accesses_per_sec, before.full_accesses_per_sec);
-                snapshot.speedup_smoke =
-                    speedup(snapshot.smoke_accesses_per_sec, before.smoke_accesses_per_sec);
-                // Wall-clock speedup is before/after (lower is better).
-                snapshot.speedup_suite = match (before.suite_wall_s, snapshot.suite_wall_s) {
-                    (Some(was), Some(now)) if now > 0.0 => Some(was / now),
-                    _ => None,
-                };
-                if let Some(s) = snapshot.speedup_full {
-                    println!("\nspeedup vs '{}' (full basket): {s:.2}x", before.label);
-                }
-                if let Some(s) = snapshot.speedup_smoke {
-                    println!("speedup vs '{}' (smoke basket): {s:.2}x", before.label);
-                }
-                if let Some(s) = snapshot.speedup_suite {
-                    println!("speedup vs '{}' (experiment suite wall-clock): {s:.2}x", before.label);
-                }
-                snapshot.before = Some(before);
-            }
-            Err(e) => eprintln!("warning: --before: {e}"),
         }
     }
 

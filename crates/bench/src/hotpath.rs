@@ -1,12 +1,13 @@
 //! The fixed hot-path performance basket.
 //!
 //! One basket = a fixed cross of workloads × channel counts × mechanisms,
-//! simulated with a fixed seed and threshold. Three consumers share it:
+//! simulated with a fixed seed and threshold. Two consumers share it:
 //!
 //! * the `perf` binary, which times the basket and records accesses/sec,
-//!   cells/sec, and wall-clock into `BENCH_hotpath.json`;
-//! * the bench-smoke CI job, which re-times the reduced (`Smoke`) basket and
-//!   fails on large throughput regressions;
+//!   cells/sec, wall-clock and a checksum per cell into a snapshot such as
+//!   `BENCH_hotpath.json`. The bench-smoke CI job runs it on the reduced
+//!   (`Smoke`) basket and fails through `perf --diff … --max-regress` on
+//!   large throughput regressions and on any checksum drift;
 //! * the bit-exactness regression suite
 //!   (`crates/bench/tests/bitexact_hotpath.rs`), which asserts that the
 //!   simulation *statistics* of every smoke cell match golden checksums
@@ -359,7 +360,7 @@ pub fn run_cells(cells: &[HotpathCell], scope: HotpathScope) -> Result<Vec<CellR
 }
 
 /// Wall-clock timing of one experiment-suite target.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TargetTiming {
     /// Target name (`fig16`, `fig13_15`, ...).
     pub name: String,
@@ -368,7 +369,7 @@ pub struct TargetTiming {
 }
 
 /// Aggregate result of the macro benchmark: the full experiment suite.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SuiteResult {
     /// Total wall-clock seconds across all targets.
     pub wall_s: f64,

@@ -11,67 +11,70 @@
 //!   basket ([`hotpath`]) and, with `--tracker`, the per-mechanism tracker
 //!   microbench suite ([`tracker`]).
 //!
-//! This library crate only hosts shared helpers for the binaries and the
-//! bit-exactness suites. `perf` reads earlier snapshots back through the
-//! derived `Deserialize` of [`hotpath::BasketResult`].
+//! This library crate hosts what the binaries and the bit-exactness suites
+//! share, and [`Snapshot`], the one record `perf` writes and `perf --diff`
+//! reads back.
 
-use comet_sim::experiments::ExperimentScope;
+use hotpath::{BasketResult, SuiteResult};
+use serde::{Deserialize, Serialize};
 
 pub mod hotpath;
 pub mod tracker;
 
-/// Parses the `--scope` argument used by the experiments binary.
-pub fn parse_scope(value: &str) -> Option<ExperimentScope> {
-    match value {
-        "smoke" => Some(ExperimentScope::Smoke),
-        "quick" => Some(ExperimentScope::Quick),
-        "full" => Some(ExperimentScope::Full),
-        _ => None,
-    }
-}
+/// Schema tag of every [`Snapshot`].
+pub const SNAPSHOT_SCHEMA: &str = "bench-perf/2";
 
-/// Formats a float with a fixed number of decimals for table output.
-pub fn fmt(value: f64, decimals: usize) -> String {
-    format!("{value:.decimals$}")
+/// One `perf` run: the sections it ran, as measured, and nothing derived
+/// from them. A basket run fills `full` and/or `smoke` (and `suite` with
+/// `--suite`); a `--tracker` run fills `tracker`. `perf --diff` compares the
+/// sections two snapshots share.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Snapshot {
+    /// [`SNAPSHOT_SCHEMA`].
+    pub schema: String,
+    /// Free-text description of the run (`perf --label`).
+    pub label: String,
+    /// The full hot-path basket.
+    pub full: Option<BasketResult>,
+    /// The smoke hot-path basket.
+    pub smoke: Option<BasketResult>,
+    /// The tracker microbench suite, one cell per (mechanism, ACT stream),
+    /// with activations counted as accesses.
+    pub tracker: Option<BasketResult>,
+    /// The experiment-suite wall-clock (smoke scope, serial).
+    pub suite: Option<SuiteResult>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotpath::BasketResult;
-    use serde::{Deserialize, Value};
 
-    #[test]
-    fn scope_parsing() {
-        assert_eq!(parse_scope("smoke"), Some(ExperimentScope::Smoke));
-        assert_eq!(parse_scope("quick"), Some(ExperimentScope::Quick));
-        assert_eq!(parse_scope("full"), Some(ExperimentScope::Full));
-        assert_eq!(parse_scope("nope"), None);
-    }
-
-    #[test]
-    fn fmt_rounds() {
-        assert_eq!(fmt(0.12345, 3), "0.123");
+    /// Decodes a committed snapshot and checks that it is byte for byte what
+    /// `perf` would write for it.
+    fn committed(text: &str) -> Snapshot {
+        let snapshot = Snapshot::from_value(&serde_json::from_str(text).unwrap()).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&snapshot).unwrap() + "\n", text);
+        assert_eq!(snapshot.schema, SNAPSHOT_SCHEMA);
+        snapshot
     }
 
     #[test]
     fn committed_snapshots_decode() {
-        let hotpath = serde_json::from_str(include_str!("../../../BENCH_hotpath.json")).unwrap();
-        let basket = |name: &str| BasketResult::from_value(hotpath.get(name).unwrap()).unwrap();
-        let (full, smoke) = (basket("full"), basket("smoke"));
+        let hotpath = committed(include_str!("../../../BENCH_hotpath.json"));
+        let (full, smoke) = (hotpath.full.unwrap(), hotpath.smoke.unwrap());
         assert_eq!((full.cells.len(), smoke.cells.len()), (36, 18));
         assert_eq!(smoke.cells[0].label, "429.mcf/ch1/Baseline");
         assert_eq!(smoke.cells[0].checksum, 0x17450226fc1acb42);
         assert_eq!(smoke.cells[17].label, "473.astar+attack/ch4/CoMeT");
-        let top = |key: &str| hotpath.get(key).and_then(Value::as_f64);
-        // The top-level headline duplicates the basket-level aggregate.
-        assert_eq!(top("smoke_accesses_per_sec"), Some(smoke.accesses_per_sec));
-        assert_eq!(top("ci_reference_smoke_accesses_per_sec"), Some(678336.7267623901));
+        // CI's `--diff … --max-regress 70` gate sets its floor from this.
+        assert_eq!(smoke.accesses_per_sec, 678336.7267623901);
+        assert!(hotpath.tracker.is_none());
+        assert_eq!(hotpath.suite.unwrap().targets.len(), 13);
 
-        let tracker = serde_json::from_str(include_str!("../../../BENCH_tracker.json")).unwrap();
-        assert_eq!(tracker.get("label").and_then(Value::as_str), Some("hot-path basket"));
-        assert!(tracker.get("full").is_none());
-        let tracker = BasketResult::from_value(tracker.get("tracker").unwrap()).unwrap();
+        let tracker = committed(include_str!("../../../BENCH_tracker.json"));
+        assert_eq!(tracker.label, "hot-path basket");
+        assert!(tracker.full.is_none() && tracker.smoke.is_none() && tracker.suite.is_none());
+        let tracker = tracker.tracker.unwrap();
         assert_eq!(tracker.cells.len(), 12);
         // A checksum above `i64::MAX` decodes exactly.
         assert_eq!(tracker.cells[4].label, "Graphene/spray");

@@ -200,13 +200,6 @@ impl DramChannel {
         let t = &self.config.timing;
         issue_cycle + t.cl + t.burst_cycles
     }
-
-    /// Latency in cycles of a fully serialized row-miss access (ACT + RD + data),
-    /// a useful lower bound for sizing queues and sanity-checking results.
-    pub fn row_miss_latency(&self) -> Cycle {
-        let t = &self.config.timing;
-        t.t_rcd + t.cl + t.burst_cycles
-    }
 }
 
 #[cfg(test)]
@@ -290,14 +283,5 @@ mod tests {
         // A different rank is not constrained by the first rank's tRRD.
         let e = ch.earliest_issue(CommandKind::Act, &b, 0);
         assert_eq!(e, 0);
-    }
-
-    #[test]
-    fn row_miss_latency_is_positive_and_sane() {
-        let ch = channel();
-        let lat = ch.row_miss_latency();
-        let t = &ch.config().timing;
-        assert_eq!(lat, t.t_rcd + t.cl + t.burst_cycles);
-        assert!(lat > 20 && lat < 100);
     }
 }

@@ -37,16 +37,6 @@ impl DramConfig {
         }
     }
 
-    /// The paper configuration with the refresh window (and interval) divided by
-    /// `divisor` — used by the quick experiment presets so short simulations
-    /// cover multiple tracker reset periods. See
-    /// [`TimingParams::with_refresh_window_divisor`].
-    pub fn ddr4_scaled_refresh(divisor: u64) -> Self {
-        let mut c = Self::ddr4_paper_default();
-        c.timing = c.timing.with_refresh_window_divisor(divisor);
-        c
-    }
-
     /// The paper configuration scaled out to `channels` independent channels.
     pub fn ddr4_multi_channel(channels: usize) -> Self {
         let mut c = Self::ddr4_paper_default();
@@ -80,14 +70,6 @@ mod tests {
     #[test]
     fn tiny_is_valid() {
         assert!(DramConfig::tiny().validate().is_empty());
-    }
-
-    #[test]
-    fn scaled_refresh_divides_window() {
-        let base = DramConfig::ddr4_paper_default();
-        let scaled = DramConfig::ddr4_scaled_refresh(8);
-        assert_eq!(scaled.timing.t_refw, base.timing.t_refw / 8);
-        assert!(scaled.validate().is_empty());
     }
 
     #[test]

@@ -87,33 +87,6 @@ impl TimingParams {
         }
     }
 
-    /// DDR5-like preset with a 32 ms refresh window (refresh interval scales with it).
-    ///
-    /// The command timings are kept at the DDR4-2400 values — what matters for the
-    /// RowHammer study is the shorter refresh window, which halves the number of
-    /// activations an attacker can issue between two refreshes of a victim row.
-    pub fn ddr5_32ms() -> Self {
-        let mut t = Self::ddr4_2400();
-        t.t_refw /= 2;
-        t.t_refi /= 2;
-        t
-    }
-
-    /// A refresh-window-scaled variant used by the quick experiment presets.
-    ///
-    /// Scaling `t_refw` (and `t_refi` with it) by `1/divisor` models the
-    /// extended-temperature operating points of DDR4/DDR5 where the refresh
-    /// window is halved or quartered, and lets short simulations cover several
-    /// tracker reset periods. The ACT-rate-to-window ratio that drives tracker
-    /// pressure shrinks accordingly; the experiment harness reports which
-    /// preset produced each result.
-    pub fn with_refresh_window_divisor(mut self, divisor: u64) -> Self {
-        assert!(divisor >= 1, "divisor must be at least 1");
-        self.t_refw /= divisor;
-        self.t_refi /= divisor;
-        self
-    }
-
     /// Converts nanoseconds to (rounded-up) command-clock cycles for this device.
     pub fn ns_to_cycles(&self, ns: f64) -> Cycle {
         (ns / self.t_ck_ns).ceil() as Cycle
@@ -127,12 +100,6 @@ impl TimingParams {
     /// Number of REF commands needed to refresh every row once (one refresh window).
     pub fn refs_per_window(&self) -> u64 {
         self.t_refw / self.t_refi
-    }
-
-    /// Maximum number of activations a single bank can receive in one refresh window
-    /// (limited by the row cycle time `t_rc`).
-    pub fn max_acts_per_bank_per_window(&self) -> u64 {
-        self.t_refw / self.t_rc
     }
 
     /// Checks internal consistency of the parameters.
@@ -190,43 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn max_acts_per_bank_matches_paper_scale() {
-        let t = TimingParams::ddr4_2400();
-        // 64 ms / ~46 ns ≈ 1.37 M activations to a single bank per window.
-        let acts = t.max_acts_per_bank_per_window();
-        assert!((1_300_000..1_450_000).contains(&acts), "acts = {acts}");
-    }
-
-    #[test]
     fn ns_cycle_round_trip() {
         let t = TimingParams::ddr4_2400();
         let cycles = t.ns_to_cycles(100.0);
         let ns = t.cycles_to_ns(cycles);
         assert!((ns - 100.0).abs() < t.t_ck_ns + 1e-9);
-    }
-
-    #[test]
-    fn refresh_window_divisor_scales_refw_and_refi() {
-        let base = TimingParams::ddr4_2400();
-        let scaled = base.clone().with_refresh_window_divisor(4);
-        assert_eq!(scaled.t_refw, base.t_refw / 4);
-        assert_eq!(scaled.t_refi, base.t_refi / 4);
-        assert_eq!(scaled.refs_per_window(), base.refs_per_window());
-        assert!(scaled.consistency_violations().is_empty());
-    }
-
-    #[test]
-    fn ddr5_preset_halves_window() {
-        let d4 = TimingParams::ddr4_2400();
-        let d5 = TimingParams::ddr5_32ms();
-        // Integer division may lose one cycle of the (huge) window.
-        assert!(d4.t_refw - d5.t_refw * 2 <= 1);
-        assert!(d5.consistency_violations().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "divisor")]
-    fn zero_divisor_panics() {
-        let _ = TimingParams::ddr4_2400().with_refresh_window_divisor(0);
     }
 }

@@ -14,11 +14,10 @@
 //!   deterministic way to fill the job queue for admission-control tests);
 //! * **the fleet** — [`FaultPlan::on_deliver`] runs before a remote worker
 //!   reports a completed cell and can drop the connection outright or
-//!   truncate the result line mid-write (network-partition simulation);
-//!   [`FaultPlan::heartbeats_muted`] silences a worker's heartbeat loop
-//!   (missed-heartbeat → lease-expiry simulation); and
-//!   [`FaultPlan::on_worker_cell`] can kill a worker mid-cell on schedule
-//!   (crash-under-lease simulation, the failover-to-another-worker path).
+//!   truncate the result line mid-write (network-partition simulation),
+//!   and [`FaultPlan::on_worker_cell`] can kill a worker mid-cell on
+//!   schedule (crash-under-lease simulation, the failover-to-another-worker
+//!   path).
 //!
 //! Everything is driven by counters and labels, never clocks, so every
 //! fault fires at exactly the same point on every run. Production builds
@@ -70,7 +69,6 @@ struct PlanState {
     simulations_seen: u64,
     deliveries_seen: u64,
     deliver_faults: HashMap<u64, DeliverFault>,
-    heartbeats_muted: bool,
     cell_deaths: HashMap<String, u32>,
 }
 
@@ -157,22 +155,6 @@ impl FaultPlan {
     pub fn fail_delivery(self, nth: u64, fault: DeliverFault) -> Self {
         self.lock().deliver_faults.insert(nth, fault);
         self
-    }
-
-    /// Silences worker heartbeat loops: heartbeats stop flowing, the
-    /// coordinator's supervision sees a silent worker, and leases expire.
-    pub fn mute_heartbeats(&self) {
-        self.lock().heartbeats_muted = true;
-    }
-
-    /// Lets heartbeats flow again.
-    pub fn unmute_heartbeats(&self) {
-        self.lock().heartbeats_muted = false;
-    }
-
-    /// Whether worker heartbeat loops are currently silenced.
-    pub fn heartbeats_muted(&self) -> bool {
-        self.lock().heartbeats_muted
     }
 
     /// Scripts the first `times` remote executions of the cell labelled
@@ -307,12 +289,6 @@ mod tests {
         assert!(plan.on_worker_cell("victim"), "first attempt dies");
         assert!(!plan.on_worker_cell("victim"), "budget spent");
         assert!(!plan.on_worker_cell("bystander"));
-
-        assert!(!plan.heartbeats_muted());
-        plan.mute_heartbeats();
-        assert!(plan.heartbeats_muted());
-        plan.unmute_heartbeats();
-        assert!(!plan.heartbeats_muted());
     }
 
     #[test]

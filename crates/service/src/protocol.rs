@@ -246,12 +246,9 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
         .ok_or_else(|| ServiceError::Protocol("missing \"op\"".to_string()))?;
     let op = match op {
         "run" => {
-            let scope = match value.get("scope").and_then(Value::as_str).unwrap_or("smoke") {
-                "smoke" => ExperimentScope::Smoke,
-                "quick" => ExperimentScope::Quick,
-                "full" => ExperimentScope::Full,
-                other => return Err(ServiceError::Protocol(format!("unknown scope {other:?}"))),
-            };
+            let name = value.get("scope").and_then(Value::as_str).unwrap_or("smoke");
+            let scope = ExperimentScope::from_name(name)
+                .ok_or_else(|| ServiceError::Protocol(format!("unknown scope {name:?}")))?;
             let targets: Vec<String> = match value.get("targets").and_then(Value::as_seq) {
                 Some(items) => items
                     .iter()

@@ -21,10 +21,9 @@
 //! Simulation panics are contained worker-side (`catch_unwind`) and
 //! reported as typed failures — the coordinator's service falls back to a
 //! local run, which reproduces the error deterministically. The scripted
-//! fault hooks ([`FaultPlan::on_worker_cell`], [`FaultPlan::on_deliver`],
-//! [`FaultPlan::heartbeats_muted`]) let tests kill a worker mid-cell, drop
-//! or tear a result delivery, and silence heartbeats — each exercising a
-//! distinct coordinator failover path.
+//! fault hooks ([`FaultPlan::on_worker_cell`], [`FaultPlan::on_deliver`])
+//! let tests kill a worker mid-cell and drop or tear a result delivery —
+//! each exercising a distinct coordinator failover path.
 
 use crate::error::ServiceError;
 use crate::faults::{DeliverFault, FaultPlan};
@@ -237,7 +236,6 @@ fn run_session(
         let addr = config.addr.clone();
         let period = config.heartbeat_ms;
         let dead = session_dead.clone();
-        let faults = config.faults.clone();
         let stop = stop.clone();
         let cells_done = cells_done.clone();
         let busy = busy.clone();
@@ -247,31 +245,28 @@ fn run_session(
             };
             let mut id = 0u64;
             while !stop.load(Ordering::Acquire) && !dead.load(Ordering::Acquire) {
-                let muted = faults.as_ref().is_some_and(|plan| plan.heartbeats_muted());
-                if !muted {
-                    id += 1;
-                    let line = format!(
-                        "{{\"op\":\"heartbeat\",\"id\":{id},\"worker\":{worker},\"cells\":{},\"busy\":{}}}",
-                        cells_done.load(Ordering::Relaxed),
-                        busy.load(Ordering::Relaxed)
-                    );
-                    if conn.write_line(&line).is_err() {
-                        dead.store(true, Ordering::Release);
-                        return;
-                    }
-                    match read_response(&mut conn, &stop, &dead) {
-                        Some(response) if response_ok(&response) => {
-                            // `live:false` ⇒ the coordinator presumed us
-                            // dead; force a re-registration.
-                            if response.get("live") == Some(&Value::Bool(false)) {
-                                dead.store(true, Ordering::Release);
-                                return;
-                            }
-                        }
-                        _ => {
+                id += 1;
+                let line = format!(
+                    "{{\"op\":\"heartbeat\",\"id\":{id},\"worker\":{worker},\"cells\":{},\"busy\":{}}}",
+                    cells_done.load(Ordering::Relaxed),
+                    busy.load(Ordering::Relaxed)
+                );
+                if conn.write_line(&line).is_err() {
+                    dead.store(true, Ordering::Release);
+                    return;
+                }
+                match read_response(&mut conn, &stop, &dead) {
+                    Some(response) if response_ok(&response) => {
+                        // `live:false` ⇒ the coordinator presumed us dead;
+                        // force a re-registration.
+                        if response.get("live") == Some(&Value::Bool(false)) {
                             dead.store(true, Ordering::Release);
                             return;
                         }
+                    }
+                    _ => {
+                        dead.store(true, Ordering::Release);
+                        return;
                     }
                 }
                 let mut remaining = period;

@@ -52,6 +52,16 @@ pub enum ExperimentScope {
 }
 
 impl ExperimentScope {
+    /// The scope named `smoke`, `quick` or `full`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "smoke" => Some(ExperimentScope::Smoke),
+            "quick" => Some(ExperimentScope::Quick),
+            "full" => Some(ExperimentScope::Full),
+            _ => None,
+        }
+    }
+
     /// The single-core workload names this scope simulates.
     pub fn workloads(&self) -> Vec<String> {
         match self {
@@ -223,6 +233,14 @@ pub(crate) fn preventive_per_kilo_act(run: &RunResult) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scope_parsing() {
+        assert_eq!(ExperimentScope::from_name("smoke"), Some(ExperimentScope::Smoke));
+        assert_eq!(ExperimentScope::from_name("quick"), Some(ExperimentScope::Quick));
+        assert_eq!(ExperimentScope::from_name("full"), Some(ExperimentScope::Full));
+        assert_eq!(ExperimentScope::from_name("nope"), None);
+    }
 
     #[test]
     fn scopes_grow_in_size() {

@@ -23,11 +23,6 @@ impl MultiCoreMix {
     pub fn core_count(&self) -> usize {
         self.cores.len()
     }
-
-    /// Aggregate memory bandwidth demand of the mix in MB/s.
-    pub fn total_bandwidth_mbps(&self) -> f64 {
-        self.cores.iter().map(|c| c.bandwidth_mbps).sum()
-    }
 }
 
 /// Builds the homogeneous `cores`-copy mix of `workload_name`.
@@ -132,12 +127,5 @@ mod tests {
         let names: std::collections::HashSet<&str> = mixes.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names.len(), mixes.len());
         assert_eq!(mixed_intensity_eight_core_mixes(), mixes);
-    }
-
-    #[test]
-    fn total_bandwidth_sums_cores() {
-        let mix = homogeneous_mix("519.lbm", 8).unwrap();
-        let single = catalog::workload("519.lbm").unwrap().bandwidth_mbps;
-        assert!((mix.total_bandwidth_mbps() - 8.0 * single).abs() < 1e-9);
     }
 }
