@@ -11,7 +11,8 @@
 //! ```
 //!
 //! * Default mode runs the requested basket(s), prints a per-cell table, and
-//!   (with `--out`) writes a JSON [`Snapshot`] of the sections it ran.
+//!   (with `--out`) writes a JSON [`Snapshot`] of the sections it ran,
+//!   labelled `hot-path basket` unless `--label` names it.
 //! * `--diff OLD NEW` compares two snapshots without running anything: a
 //!   per-cell speedup table (Markdown, so it can be piped straight into a CI
 //!   job summary) plus basket, attack-cell, and suite aggregates. Every cell
@@ -33,8 +34,10 @@
 //!   suite (smoke scope, serial executor) and records the wall-clock.
 //! * `--tracker` runs the per-mechanism tracker microbench suite (ACT
 //!   streams fed straight to the trackers, no DRAM model) instead of the
-//!   baskets; `--diff` against an earlier tracker snapshot fails on any cell
-//!   whose state checksum drifted.
+//!   baskets, so it refuses `--cells` and `--suite` (exit 2). Its snapshot
+//!   is labelled `tracker microbench` unless `--label` names it. `--diff`
+//!   against an earlier tracker snapshot fails on any cell whose state
+//!   checksum drifted.
 //!
 //! Every basket cell runs through the serial event-driven loop, one cell at
 //! a time, so the numbers are not confounded by parallel cell execution.
@@ -56,11 +59,13 @@ fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
 }
 
 struct Args {
-    scopes: Vec<HotpathScope>,
+    /// `--cells`; the full basket when not given.
+    scopes: Option<Vec<HotpathScope>>,
     suite: bool,
     tracker: bool,
     out: Option<PathBuf>,
-    label: String,
+    /// `--label`; each mode names its snapshot when not given.
+    label: Option<String>,
     diff: Option<(PathBuf, PathBuf)>,
     max_regress_pct: Option<f64>,
     print_goldens: bool,
@@ -69,11 +74,11 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        scopes: vec![HotpathScope::Full],
+        scopes: None,
         suite: false,
         tracker: false,
         out: None,
-        label: "hot-path basket".to_string(),
+        label: None,
         diff: None,
         max_regress_pct: None,
         print_goldens: false,
@@ -89,7 +94,7 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--cells" => {
-                args.scopes = match value_for(&mut it, "--cells").as_str() {
+                args.scopes = Some(match value_for(&mut it, "--cells").as_str() {
                     "smoke" => vec![HotpathScope::Smoke],
                     "full" => vec![HotpathScope::Full],
                     "all" => vec![HotpathScope::Full, HotpathScope::Smoke],
@@ -97,10 +102,10 @@ fn parse_args() -> Args {
                         eprintln!("error: unknown --cells '{other}' (smoke|full|all)");
                         std::process::exit(2);
                     }
-                }
+                })
             }
             "--out" => args.out = Some(PathBuf::from(value_for(&mut it, "--out"))),
-            "--label" => args.label = value_for(&mut it, "--label"),
+            "--label" => args.label = Some(value_for(&mut it, "--label")),
             "--diff" => {
                 let old = PathBuf::from(value_for(&mut it, "--diff"));
                 let new = PathBuf::from(value_for(&mut it, "--diff"));
@@ -134,6 +139,10 @@ fn parse_args() -> Args {
     }
     if args.max_regress_pct.is_some() && args.diff.is_none() {
         eprintln!("error: --max-regress gates a --diff");
+        std::process::exit(2);
+    }
+    if args.tracker && (args.scopes.is_some() || args.suite) {
+        eprintln!("error: --tracker runs the tracker suite alone; drop --cells and --suite");
         std::process::exit(2);
     }
     args
@@ -416,9 +425,10 @@ fn run(args: &Args) -> ExitCode {
         return print_goldens();
     }
 
+    let default_label = if args.tracker { "tracker microbench" } else { "hot-path basket" };
     let mut snapshot = Snapshot {
         schema: SNAPSHOT_SCHEMA.to_string(),
-        label: args.label.clone(),
+        label: args.label.clone().unwrap_or_else(|| default_label.to_string()),
         full: None,
         smoke: None,
         tracker: None,
@@ -427,7 +437,7 @@ fn run(args: &Args) -> ExitCode {
     if args.tracker {
         snapshot.tracker = Some(run_tracker());
     } else {
-        for &scope in &args.scopes {
+        for &scope in args.scopes.as_deref().unwrap_or(&[HotpathScope::Full]) {
             match run_basket(scope) {
                 Ok(result) => {
                     print_basket(&result);

@@ -72,7 +72,7 @@ mod tests {
         assert_eq!(hotpath.suite.unwrap().targets.len(), 13);
 
         let tracker = committed(include_str!("../../../BENCH_tracker.json"));
-        assert_eq!(tracker.label, "hot-path basket");
+        assert_eq!(tracker.label, "tracker microbench");
         assert!(tracker.full.is_none() && tracker.smoke.is_none() && tracker.suite.is_none());
         let tracker = tracker.tracker.unwrap();
         assert_eq!(tracker.cells.len(), 12);

@@ -1,5 +1,6 @@
 //! Exit status and report of `perf --diff`, on small snapshot files written
-//! here (no simulation runs) and on the committed `BENCH_*.json` snapshots.
+//! here (no simulation runs) and on the committed `BENCH_*.json` snapshots,
+//! and the flag combinations `perf` refuses before it runs anything.
 
 use comet_bench::hotpath::{BasketResult, CellResult};
 use serde::{Serialize, Value};
@@ -149,5 +150,19 @@ fn each_committed_snapshot_against_itself_exits_0() {
         let output = diff(&path, &path, &[]);
         assert_eq!(output.status.code(), Some(0), "{name}: {}", stderr(&output));
         assert!(!stdout(&output).contains("drifted"), "{name}: {}", stdout(&output));
+    }
+}
+
+#[test]
+fn tracker_refuses_the_basket_flags_with_exit_2() {
+    for extra in [&["--cells", "smoke"][..], &["--suite"], &["--cells", "all", "--suite"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_perf")).arg("--tracker").args(extra).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{extra:?}: {}", stdout(&output));
+        assert!(
+            stderr(&output).contains("--tracker runs the tracker suite alone; drop --cells and --suite"),
+            "{extra:?}: {}",
+            stderr(&output)
+        );
+        assert!(stdout(&output).is_empty(), "{extra:?} ran something: {}", stdout(&output));
     }
 }

@@ -196,7 +196,7 @@ impl Daemon {
             return None;
         }
         Some(match protocol::parse_request(line) {
-            Err(error) => (protocol::error_response(0, &error), false),
+            Err((id, error)) => (protocol::error_response(id, &error), false),
             Ok(request) => match &request.op {
                 Op::Run { priority, .. } => {
                     let priority = *priority;

@@ -11,10 +11,11 @@
 //! {"op":"metrics","id":5}
 //! ```
 //!
-//! Responses always echo `id` (0 if absent) and carry `"ok"`. A `run`
-//! response reports the wall-clock seconds, the request's cache-counter
-//! delta (cells, cache_hits, simulated, hit_rate, …), and the per-target
-//! datasets under `"results"`.
+//! Responses always echo `id` and carry `"ok"`. A refused line's error
+//! response echoes its id too; the id is 0 when the request has none or the
+//! line is not JSON. A `run` response reports the wall-clock seconds, the
+//! request's cache-counter delta (cells, cache_hits, simulated, hit_rate,
+//! …), and the per-target datasets under `"results"`.
 //!
 //! Error responses are typed on the wire: an [`ServiceError::Overloaded`]
 //! shed carries `"overloaded":true` plus a `"retry_after_ms"` hint (clients
@@ -236,10 +237,16 @@ pub enum Op {
     },
 }
 
-/// Parses one request line.
-pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
-    let value = serde_json::from_str(line)?;
+/// Parses one request line. A refusal carries the id the line was parsed
+/// with, so that its error response pairs with the request; the id is 0 when
+/// the line is not JSON or has no numeric id.
+pub fn parse_request(line: &str) -> Result<Request, (u64, ServiceError)> {
+    let value = serde_json::from_str(line).map_err(|error| (0, error.into()))?;
     let id = value.get("id").and_then(Value::as_u64).unwrap_or(0);
+    parse_op(&value).map(|op| Request { id, op }).map_err(|error| (id, error))
+}
+
+fn parse_op(value: &Value) -> Result<Op, ServiceError> {
     let op = value
         .get("op")
         .and_then(Value::as_str)
@@ -287,11 +294,11 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
                 .to_string(),
         },
         "pull" => Op::Pull {
-            worker: worker_field(&value)?,
+            worker: worker_field(value)?,
             wait_ms: value.get("wait_ms").and_then(Value::as_u64).unwrap_or(0),
         },
         "heartbeat" => Op::Heartbeat {
-            worker: worker_field(&value)?,
+            worker: worker_field(value)?,
             cells: value.get("cells").and_then(Value::as_u64),
             busy: value.get("busy").and_then(|v| match v {
                 Value::Bool(b) => Some(*b),
@@ -313,11 +320,11 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
                     })?
                     .to_string()),
             };
-            Op::Complete { worker: worker_field(&value)?, key, outcome }
+            Op::Complete { worker: worker_field(value)?, key, outcome }
         }
         other => return Err(ServiceError::Protocol(format!("unknown op {other:?}"))),
     };
-    Ok(Request { id, op })
+    Ok(op)
 }
 
 fn worker_field(value: &Value) -> Result<u64, ServiceError> {
@@ -484,11 +491,26 @@ mod tests {
     #[test]
     fn defaults_and_errors() {
         assert_eq!(parse_request(r#"{"op":"ping"}"#).unwrap(), Request { id: 0, op: Op::Ping });
-        assert!(matches!(parse_request("not json"), Err(ServiceError::Json(_))));
-        assert!(matches!(parse_request(r#"{"id":1}"#), Err(ServiceError::Protocol(_))));
+        assert!(matches!(parse_request("not json"), Err((0, ServiceError::Json(_)))));
+        assert!(matches!(parse_request(r#"{"id":1}"#), Err((1, ServiceError::Protocol(_)))));
         assert!(parse_request(r#"{"op":"run","targets":[]}"#).is_err());
         assert!(parse_request(r#"{"op":"run","targets":["nope"]}"#).is_err());
         assert!(parse_request(r#"{"op":"run","scope":"huge","targets":["fig9"]}"#).is_err());
+    }
+
+    #[test]
+    fn a_refused_line_keeps_its_own_id() {
+        let (id, error) =
+            parse_request(r#"{"op":"run","id":1,"scope":"huge","targets":["fig17"]}"#).unwrap_err();
+        assert_eq!(id, 1);
+        assert_eq!(error_response(id, &error), r#"{"id":1,"ok":false,"error":"unknown scope \"huge\""}"#);
+        assert!(matches!(parse_request(r#"{"op":"nope","id":42}"#), Err((42, ServiceError::Protocol(_)))));
+        // Without a numeric id, or without JSON to read one from, it is 0.
+        for line in
+            [r#"{"op":"nope"}"#, r#"{"op":"nope","id":"7"}"#, r#"{"op":"nope","id":-7}"#, r#"{"id":7,"op":"#]
+        {
+            assert_eq!(parse_request(line).unwrap_err().0, 0, "{line}");
+        }
     }
 
     #[test]
