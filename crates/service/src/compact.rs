@@ -4,9 +4,12 @@
 //! Append-only segments accumulate garbage two ways: a key re-recorded by a
 //! later append (two processes sharing the directory, or a post-compaction
 //! crash window) and keys evicted from the bounded in-memory cache. A
-//! compaction pass streams every segment, keeps the **last** record of each
-//! key that is still in the caller's live set, and rewrites those records
-//! into fresh segments.
+//! compaction pass re-reads the store through [`ResultStore::recover`], so
+//! it trusts exactly what a restart trusts (a segment corrupted mid-file is
+//! quarantined there, not read past), keeps each live key's last write in
+//! the order of those writes, and rewrites those records into fresh
+//! segments. A compacted store therefore reloads in the same LRU order as
+//! the store it replaced.
 //!
 //! Crash safety is tmp-then-rename: each new segment is fully written and
 //! fsynced as `compact-NNNNNN.tmp`, then renamed to `segment-NNNNNN.jsonl`
@@ -16,8 +19,8 @@
 //! new segments survive, the new ones win by last-write-wins ordering.
 
 use crate::key::CellKey;
-use crate::store::{segment_files, ResultStore, SEGMENT_CAPACITY};
-use std::collections::{HashMap, HashSet};
+use crate::store::{entry_line, segment_files, ResultStore, SEGMENT_CAPACITY};
+use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write};
 
@@ -26,8 +29,11 @@ use std::io::{BufWriter, Write};
 pub struct CompactionReport {
     /// Unique live keys rewritten into fresh segments.
     pub kept: usize,
-    /// Records dropped (superseded duplicates plus non-live keys).
+    /// Trusted records dropped (superseded duplicates plus non-live keys).
     pub dropped: usize,
+    /// Segments the pass moved into quarantine (corrupted mid-file since
+    /// the store was last read).
+    pub quarantined: usize,
     /// Segment files before the pass.
     pub segments_before: usize,
     /// Segment files after the pass.
@@ -46,34 +52,22 @@ impl ResultStore {
         let segments_before = old_files.len();
         let next_index = old_files.last().map(|(index, _)| index + 1).unwrap_or(0);
 
-        // Last-write-wins over the stream, preserving first-seen order so a
-        // compacted store reloads deterministically.
-        let mut order: Vec<CellKey> = Vec::new();
-        let mut lines: HashMap<CellKey, String> = HashMap::new();
-        let mut records = 0usize;
-        for (key, result) in self.stream()? {
-            records += 1;
-            let line = format!(
-                "{{\"key\":\"{key}\",\"result\":{}}}",
-                serde_json::to_string(&result).expect("value-tree serialization cannot fail")
-            );
-            if lines.insert(key, line).is_none() {
-                order.push(key);
-            }
-        }
-        order.retain(|key| live.contains(key));
-        let kept = order.len();
+        let recovery = self.recover()?;
+        let (records, quarantined) = (recovery.entries.len(), recovery.quarantined);
+        let mut survivors = recovery.latest();
+        survivors.retain(|(key, _)| live.contains(key));
+        let kept = survivors.len();
 
         // Write the survivors into tmp files, fsync, rename into place.
         let mut new_paths = Vec::new();
-        for (chunk_index, chunk) in order.chunks(SEGMENT_CAPACITY).enumerate() {
+        for (chunk_index, chunk) in survivors.chunks(SEGMENT_CAPACITY).enumerate() {
             let index = next_index + chunk_index as u64;
             let tmp = dir.join(format!("compact-{index:06}.tmp"));
             {
                 let file = OpenOptions::new().create(true).write(true).truncate(true).open(&tmp)?;
                 let mut writer = BufWriter::new(file);
-                for key in chunk {
-                    writeln!(writer, "{}", lines[key])?;
+                for (key, result) in chunk {
+                    writeln!(writer, "{}", entry_line(*key, result))?;
                 }
                 writer.flush()?;
                 writer.get_ref().sync_all()?;
@@ -83,7 +77,8 @@ impl ResultStore {
             new_paths.push(path);
         }
         // Make the renames durable before deleting the old segments
-        // (best-effort: not every filesystem supports dir fsync).
+        // (best-effort: not every filesystem supports dir fsync). A
+        // quarantined segment has already moved, so its removal is a no-op.
         if let Ok(dir_handle) = File::open(&dir) {
             let _ = dir_handle.sync_all();
         }
@@ -93,7 +88,7 @@ impl ResultStore {
 
         let segments_after = new_paths.len();
         self.set_layout(next_index + segments_after as u64, segments_after);
-        Ok(CompactionReport { kept, dropped: records - kept, segments_before, segments_after })
+        Ok(CompactionReport { kept, dropped: records - kept, quarantined, segments_before, segments_after })
     }
 }
 
@@ -134,13 +129,34 @@ mod tests {
         // The compacted store reloads exactly the live set, and appends
         // after compaction land in a fresh segment above it.
         store.append(CellKey(100), &result).unwrap();
-        let reopened = ResultStore::open(&dir).unwrap();
-        let keys: Vec<CellKey> = reopened.stream().unwrap().map(|(key, _)| key).collect();
+        let recovery = ResultStore::open(&dir).unwrap().recover().unwrap();
+        let keys: Vec<CellKey> = recovery.entries.into_iter().map(|(key, _)| key).collect();
         assert_eq!(keys.len(), 6);
         assert!(keys.contains(&CellKey(100)));
         for key in &live {
             assert!(keys.contains(key), "live key {key:?} survived");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A re-recorded key reloads at its last write, as it would from the
+    /// same store uncompacted, so a bounded cache evicts the same cells.
+    #[test]
+    fn a_compacted_store_reloads_in_last_write_order() {
+        let dir = temp_dir("order");
+        let _ = fs::remove_dir_all(&dir);
+        let result = sample();
+        let mut store = ResultStore::open(&dir).unwrap();
+        for i in [0u128, 1, 2, 3, 1] {
+            store.append(CellKey(i), &result).unwrap();
+        }
+        let live: HashSet<CellKey> = (0..4u128).map(CellKey).collect();
+        let report = store.compact(&live).unwrap();
+        assert_eq!((report.kept, report.dropped), (4, 1));
+
+        let recovery = ResultStore::open(&dir).unwrap().recover().unwrap();
+        let keys: Vec<CellKey> = recovery.entries.into_iter().map(|(key, _)| key).collect();
+        assert_eq!(keys, [0u128, 2, 3, 1].map(CellKey));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -155,8 +171,8 @@ mod tests {
         }
         // Simulate a crash mid-compaction: a half-written tmp file.
         fs::write(dir.join("compact-000007.tmp"), "{\"key\":\"partial").unwrap();
-        let store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.stream().unwrap().count(), 1, "tmp content is never loaded");
+        let recovery = ResultStore::open(&dir).unwrap().recover().unwrap();
+        assert_eq!(recovery.entries.len(), 1, "tmp content is never loaded");
         assert!(!dir.join("compact-000007.tmp").exists(), "stray tmp removed on open");
         let _ = fs::remove_dir_all(&dir);
     }

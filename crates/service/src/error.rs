@@ -48,12 +48,6 @@ impl ServiceError {
         ServiceError::Io { context: context.into(), message: error.to_string() }
     }
 
-    /// Whether clients should retry this request after a backoff (the
-    /// request itself was fine; the service was momentarily saturated).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, ServiceError::Overloaded { .. })
-    }
-
     /// Wraps a runner error for the wire, lifting fleet-drain sentinels to
     /// the typed shutdown rejection: a cell drained because the coordinator
     /// is stopping must reach clients as `"shutting_down":true` (reconnect
@@ -103,8 +97,6 @@ mod tests {
     fn display_is_informative() {
         let overloaded = ServiceError::Overloaded { queued: 8, bound: 8 };
         assert!(overloaded.to_string().contains("8/8"));
-        assert!(overloaded.is_retryable());
-        assert!(!ServiceError::ShuttingDown.is_retryable());
         let panic = ServiceError::Runner(RunnerError::WorkerPanic { label: "cell".to_string(), attempts: 3 });
         assert!(panic.to_string().contains("3 attempts"));
     }

@@ -47,9 +47,12 @@ pub enum FleetDisposition {
     /// A worker completed the cell; the result is authoritative (bit-exact
     /// with a local run by construction of the cache key).
     Completed(Box<RunResult>),
-    /// The fleet declined the cell — run it locally. Carries the reason for
-    /// the stats and logs.
-    RunLocal(LocalReason),
+    /// The fleet declined the cell — run it locally. That happens when no
+    /// worker is live, when live workers leave it unpulled past the
+    /// patience window (a hung-but-heartbeating fleet), and when a worker
+    /// reports a simulation failure, which is deterministic, so the local
+    /// re-run reproduces the typed error exactly.
+    RunLocal,
     /// Every lease expired and the redelivery budget is spent.
     Exhausted {
         /// Redeliveries attempted before giving up.
@@ -57,29 +60,6 @@ pub enum FleetDisposition {
     },
     /// The coordinator is draining; the cell was rejected, not run.
     Draining,
-}
-
-/// Why the fleet handed a cell back for local execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalReason {
-    /// No live workers at submit time (or the last one died while the cell
-    /// was pending).
-    NoWorkers,
-    /// A worker reported a deterministic simulation failure; re-running
-    /// locally reproduces the typed error exactly.
-    RemoteFailed,
-    /// Live workers exist but none pulled the cell within the patience
-    /// window (hung-but-heartbeating fleet).
-    Unclaimed,
-}
-
-/// Internal terminal state of one submitted cell.
-#[derive(Debug)]
-enum CellOutcome {
-    Completed(Box<RunResult>),
-    Failed(String),
-    Exhausted { redeliveries: u32 },
-    Drained,
 }
 
 /// Point-in-time fleet statistics, merged into [`crate::ServiceStats`].
@@ -106,9 +86,8 @@ pub struct FleetStats {
 struct FleetState {
     table: LeaseTable,
     payloads: HashMap<CellKey, String>,
-    outcomes: HashMap<CellKey, CellOutcome>,
+    outcomes: HashMap<CellKey, FleetDisposition>,
     draining: bool,
-    last_remote_failure: Option<String>,
     /// Last heartbeat time per worker, for the interval histogram.
     last_heartbeat_ms: HashMap<u64, u64>,
 }
@@ -200,7 +179,6 @@ impl Fleet {
                 payloads: HashMap::new(),
                 outcomes: HashMap::new(),
                 draining: false,
-                last_remote_failure: None,
                 last_heartbeat_ms: HashMap::new(),
             }),
             cv: Condvar::new(),
@@ -288,12 +266,6 @@ impl Fleet {
         self.lock().table.config().lease_timeout_ms
     }
 
-    /// The most recent worker-reported failure message, for diagnostics
-    /// (the authoritative typed error comes from the local re-run).
-    pub fn last_remote_failure(&self) -> Option<String> {
-        self.lock().last_remote_failure.clone()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> FleetStats {
         let state = self.lock();
@@ -324,7 +296,7 @@ impl Fleet {
                 }
                 JobEvent::Exhausted { key, redeliveries } => {
                     state.payloads.remove(&key);
-                    state.outcomes.insert(key, CellOutcome::Exhausted { redeliveries });
+                    state.outcomes.insert(key, FleetDisposition::Exhausted { redeliveries });
                 }
             }
         }
@@ -355,7 +327,7 @@ impl Fleet {
                 return FleetDisposition::Draining;
             }
             if state.table.workers_live() == 0 {
-                return FleetDisposition::RunLocal(LocalReason::NoWorkers);
+                return FleetDisposition::RunLocal;
             }
             state.table.submit(key);
             state.payloads.insert(key, canonical_cell_form(runner, cell));
@@ -366,15 +338,7 @@ impl Fleet {
         loop {
             if let Some(outcome) = state.outcomes.remove(&key) {
                 state.payloads.remove(&key);
-                return match outcome {
-                    CellOutcome::Completed(result) => FleetDisposition::Completed(result),
-                    CellOutcome::Failed(message) => {
-                        state.last_remote_failure = Some(message);
-                        FleetDisposition::RunLocal(LocalReason::RemoteFailed)
-                    }
-                    CellOutcome::Exhausted { redeliveries } => FleetDisposition::Exhausted { redeliveries },
-                    CellOutcome::Drained => FleetDisposition::Draining,
-                };
+                return outcome;
             }
             self.tick_locked(&mut state);
             // Still tracked? (tick may have just exhausted it — loop once
@@ -393,8 +357,7 @@ impl Fleet {
                 && state.table.withdraw_pending(key)
             {
                 state.payloads.remove(&key);
-                let reason = if workers == 0 { LocalReason::NoWorkers } else { LocalReason::Unclaimed };
-                return FleetDisposition::RunLocal(reason);
+                return FleetDisposition::RunLocal;
             }
             let (next, _timeout) = self
                 .cv
@@ -413,7 +376,7 @@ impl Fleet {
             state.draining = true;
             for key in state.table.drain() {
                 state.payloads.remove(&key);
-                state.outcomes.insert(key, CellOutcome::Drained);
+                state.outcomes.insert(key, FleetDisposition::Draining);
             }
         }
         self.cv.notify_all();
@@ -494,21 +457,22 @@ impl Fleet {
     }
 
     /// Reports a completion. `outcome` is `Ok(result)` for a successful
-    /// simulation, `Err(message)` for a worker-side failure (which the
-    /// service reproduces locally — simulation is deterministic, so the
-    /// typed error is recovered exactly). Returns whether the report was
-    /// authoritative (`false` = stale duplicate, dropped).
+    /// simulation, `Err(message)` for a worker-side failure. A failure hands
+    /// the cell back to run locally: simulation is deterministic, so the
+    /// local re-run recovers the typed error exactly, and the message is not
+    /// kept. Returns whether the report was authoritative (`false` = stale
+    /// duplicate, dropped).
     pub fn complete(&self, worker: u64, key: CellKey, outcome: Result<RunResult, String>) -> bool {
         let accepted = {
             let mut state = self.lock();
             match state.table.complete(worker, key, self.now_ms()) {
                 CompleteOutcome::Accepted => {
-                    let cell_outcome = match outcome {
-                        Ok(result) => CellOutcome::Completed(Box::new(result)),
-                        Err(message) => CellOutcome::Failed(message),
+                    let disposition = match outcome {
+                        Ok(result) => FleetDisposition::Completed(Box::new(result)),
+                        Err(_) => FleetDisposition::RunLocal,
                     };
                     state.payloads.remove(&key);
-                    state.outcomes.insert(key, cell_outcome);
+                    state.outcomes.insert(key, disposition);
                     self.sync_metrics_locked(&state);
                     true
                 }
@@ -552,7 +516,7 @@ mod tests {
     fn zero_workers_degrades_immediately() {
         let fleet = Fleet::new(LeaseConfig::default());
         let (runner, cell) = smoke_cell();
-        assert!(matches!(fleet.run_cell(&runner, &cell), FleetDisposition::RunLocal(LocalReason::NoWorkers)));
+        assert!(matches!(fleet.run_cell(&runner, &cell), FleetDisposition::RunLocal));
     }
 
     #[test]

@@ -54,10 +54,10 @@ pub use compact::CompactionReport;
 pub use daemon::{Daemon, DEFAULT_QUEUE_BOUND};
 pub use error::ServiceError;
 pub use faults::{DeliverFault, FaultPlan};
-pub use fleet::{Fleet, FleetDisposition, FleetStats, LocalReason, PullOutcome};
+pub use fleet::{Fleet, FleetDisposition, FleetStats, PullOutcome};
 pub use key::{canonical_cell_form, cell_key, CellKey, KEY_SCHEMA};
 pub use lease::{CompleteOutcome, JobEvent, LeaseConfig, LeaseCounters, LeaseTable};
 pub use queue::{JobQueue, PopWait, Push};
 pub use service::{ExperimentService, ServiceConfig, ServiceStats};
-pub use store::{Recovery, ResultStore, StoreReader};
+pub use store::{Recovery, ResultStore};
 pub use worker::{run_worker, WorkerConfig, WorkerReport};

@@ -398,18 +398,12 @@ impl ExperimentService {
         let recovery = store.recover()?;
         service.counters.quarantined_segments.store(recovery.quarantined as u64);
         service.counters.torn_lines.store(recovery.torn_lines as u64);
-        let mut loaded = 0u64;
+        let entries = recovery.latest();
+        service.counters.loaded_from_disk.store(entries.len() as u64);
         {
             let mut cache = service.lock_cache();
-            for (key, result) in recovery.entries {
-                // Last write wins (a later segment may re-record a key, e.g.
-                // two processes sharing the directory), and only unique keys
-                // count as loaded cells.
-                let fresh = !matches!(cache.slots.get(&key), Some(Slot::Ready { .. }));
+            for (key, result) in entries {
                 cache.insert_ready(key, Arc::new(result));
-                if fresh {
-                    loaded += 1;
-                }
             }
             // The bound applies to reloaded state too: keep the most
             // recently written cells, evict the oldest.
@@ -418,7 +412,6 @@ impl ExperimentService {
                 service.counters.evictions.add(evicted);
             }
         }
-        service.counters.loaded_from_disk.store(loaded);
         Ok(ExperimentService { store: Some(Mutex::new(store)), ..service })
     }
 
@@ -561,7 +554,7 @@ impl ExperimentService {
                 FleetDisposition::Draining => {
                     return Err(RunnerError::Draining { label: cell.label() });
                 }
-                FleetDisposition::RunLocal(_) => {
+                FleetDisposition::RunLocal => {
                     self.counters.local_fallbacks.inc();
                 }
             }
@@ -653,8 +646,12 @@ impl ExperimentService {
         };
         let outcome = store.lock().unwrap_or_else(PoisonError::into_inner).compact(&live);
         match outcome {
-            Ok(CompactionReport { kept, dropped, segments_before, segments_after }) => {
+            Ok(CompactionReport { kept, dropped, quarantined, segments_before, segments_after }) => {
                 self.counters.compactions.inc();
+                // Only quarantines are new here. The torn tails the pass read
+                // past were counted at start-up, or as persist errors when
+                // this process tore them.
+                self.counters.quarantined_segments.add(quarantined as u64);
                 eprintln!(
                     "comet-service: compacted {segments_before} segment(s) down to \
                      {segments_after} ({kept} live cell(s) kept, {dropped} record(s) dropped)"
@@ -717,65 +714,79 @@ impl ExperimentService {
 }
 
 impl CellBackend for ExperimentService {
+    /// Resolves every unique key of the batch in one claim/run loop. Each
+    /// pass takes the cache lock once: it serves `Ready` keys, claims free
+    /// ones and keeps the keys another call is running. Claimed keys run on
+    /// the executor; a failed one is released, so a call waiting on it
+    /// claims it on its next pass and runs it like any other claimed cell.
+    /// A pass that claimed nothing while keys still run elsewhere waits on
+    /// the condition variable; since every claim is settled before the next
+    /// pass, a waiting call holds no claims and two calls never wait on each
+    /// other.
     fn run_cells(&self, runner: &Runner, cells: &[CellSpec]) -> Result<Vec<RunResult>, RunnerError> {
         let _span = comet_telemetry::span("service.batch");
         self.counters.cells_requested.add(cells.len() as u64);
         let keys: Vec<CellKey> = cells.iter().map(|cell| cell_key(runner, cell)).collect();
-        // First batch position of each unique key (for re-running reclaimed
-        // foreign cells and for error attribution).
-        let mut first_index: HashMap<CellKey, usize> = HashMap::with_capacity(keys.len());
+        // Each unique key with its first batch position (which cell runs it,
+        // and which error wins).
+        let mut seen: HashSet<CellKey> = HashSet::with_capacity(keys.len());
+        let mut pending: Vec<(CellKey, usize)> = Vec::with_capacity(keys.len());
         for (index, &key) in keys.iter().enumerate() {
-            first_index.entry(key).or_insert(index);
+            if seen.insert(key) {
+                pending.push((key, index));
+            } else {
+                self.counters.batch_shared.inc();
+            }
         }
 
-        let mut resolved: HashMap<CellKey, Arc<RunResult>> = HashMap::new();
+        let mut resolved: HashMap<CellKey, Arc<RunResult>> = HashMap::with_capacity(pending.len());
         // Lowest-batch-index error wins, matching the plain executor.
         let mut first_error: Option<(usize, RunnerError)> = None;
-        let record_error = |slot: &mut Option<(usize, RunnerError)>, index: usize, error: RunnerError| {
-            if slot.as_ref().map(|(i, _)| index < *i).unwrap_or(true) {
-                *slot = Some((index, error));
-            }
-        };
-
-        // Claim phase: classify every unique key under one lock hold. Claims
-        // are tracked by an unwind guard so a panic escaping the containment
-        // boundary still releases them instead of wedging every waiter.
+        // Claims are tracked by an unwind guard so a panic escaping the
+        // containment boundary still releases them instead of wedging every
+        // waiter.
         let mut claims = ClaimGuard::new(self);
-        let mut owned: Vec<(CellKey, usize)> = Vec::new();
-        let mut foreign: Vec<CellKey> = Vec::new();
-        {
-            let mut cache = self.lock_cache();
-            for (index, &key) in keys.iter().enumerate() {
-                if first_index[&key] != index {
-                    self.counters.batch_shared.inc();
-                    continue;
-                }
-                let tick = cache.tick();
-                match cache.slots.get_mut(&key) {
-                    Some(Slot::Ready { result, touched }) => {
-                        self.counters.cache_hits.inc();
-                        *touched = tick;
-                        resolved.insert(key, result.clone());
+        let mut first_pass = true;
+        while !pending.is_empty() {
+            let mut owned: Vec<(CellKey, usize)> = Vec::new();
+            {
+                let mut cache = self.lock_cache();
+                loop {
+                    pending.retain(|&(key, index)| {
+                        let tick = cache.tick();
+                        match cache.slots.get_mut(&key) {
+                            Some(Slot::Ready { result, touched }) => {
+                                if first_pass {
+                                    self.counters.cache_hits.inc();
+                                }
+                                *touched = tick;
+                                resolved.insert(key, result.clone());
+                                false
+                            }
+                            Some(Slot::Running) => {
+                                if first_pass {
+                                    self.counters.inflight_waits.inc();
+                                }
+                                true
+                            }
+                            None => {
+                                cache.slots.insert(key, Slot::Running);
+                                claims.track(key);
+                                owned.push((key, index));
+                                false
+                            }
+                        }
+                    });
+                    first_pass = false;
+                    if !owned.is_empty() || pending.is_empty() {
+                        break;
                     }
-                    Some(Slot::Running) => {
-                        self.counters.inflight_waits.inc();
-                        foreign.push(key);
-                    }
-                    None => {
-                        cache.slots.insert(key, Slot::Running);
-                        owned.push((key, index));
-                    }
+                    cache = self.cv.wait(cache).unwrap_or_else(PoisonError::into_inner);
                 }
             }
-        }
-        for &(key, _) in &owned {
-            claims.track(key);
-        }
 
-        // Run phase: simulate every owned cell. Unlike `try_run`, failures do
-        // not abort the batch — completed siblings are still cached, and the
-        // failed keys are released for waiters.
-        if !owned.is_empty() {
+            // Unlike `try_run`, failures do not abort the batch: completed
+            // siblings are still cached, and the failed keys are released.
             let outcomes =
                 self.executor.run(&owned, |_, &(_, index)| self.run_cell_contained(runner, &cells[index]));
             for (&(key, index), outcome) in owned.iter().zip(outcomes) {
@@ -789,70 +800,13 @@ impl CellBackend for ExperimentService {
                     Err(error) => {
                         self.counters.failed.inc();
                         self.release(key);
-                        record_error(&mut first_error, index, error);
+                        if first_error.as_ref().is_none_or(|(first, _)| index < *first) {
+                            first_error = Some((index, error));
+                        }
                     }
                 }
                 // Resolved either way (Ready, or released for re-claim): the
                 // unwind guard must not touch a key another call may now own.
-                claims.untrack(key);
-            }
-        }
-
-        // Wait phase: block on foreign in-flight keys; re-claim and run any
-        // the owner released after failing.
-        let mut pending = foreign;
-        while !pending.is_empty() {
-            let mut reclaimed: Vec<CellKey> = Vec::new();
-            {
-                let mut cache = self.lock_cache();
-                loop {
-                    let tick = cache.tick();
-                    let mut changed: Vec<(CellKey, Option<Arc<RunResult>>)> = Vec::new();
-                    pending.retain(|&key| match cache.slots.get_mut(&key) {
-                        Some(Slot::Ready { result, touched }) => {
-                            *touched = tick;
-                            changed.push((key, Some(result.clone())));
-                            false
-                        }
-                        Some(Slot::Running) => true,
-                        None => {
-                            changed.push((key, None));
-                            false
-                        }
-                    });
-                    for (key, ready) in changed {
-                        match ready {
-                            Some(result) => {
-                                resolved.insert(key, result);
-                            }
-                            None => {
-                                cache.slots.insert(key, Slot::Running);
-                                reclaimed.push(key);
-                            }
-                        }
-                    }
-                    if pending.is_empty() || !reclaimed.is_empty() {
-                        break;
-                    }
-                    cache = self.cv.wait(cache).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-            for key in reclaimed {
-                claims.track(key);
-                let index = first_index[&key];
-                match self.run_cell_contained(runner, &cells[index]) {
-                    Ok(result) => {
-                        self.counters.simulated.inc();
-                        let result = Arc::new(result);
-                        self.complete(key, result.clone());
-                        resolved.insert(key, result);
-                    }
-                    Err(error) => {
-                        self.counters.failed.inc();
-                        self.release(key);
-                        record_error(&mut first_error, index, error);
-                    }
-                }
                 claims.untrack(key);
             }
         }

@@ -1,5 +1,5 @@
-//! On-disk persistence for the result cache: JSON-lines segments plus a
-//! streaming reader, so a warm cache survives service restarts.
+//! On-disk persistence for the result cache: JSON-lines segments and the
+//! one reader of them, so a warm cache survives service restarts.
 //!
 //! Layout: `<dir>/segment-NNNNNN.jsonl`, one `{"key": "<32 hex>", "result":
 //! {…}}` object per line, appended in completion order and rotated every
@@ -9,13 +9,15 @@
 //! result. Sealing a segment (rotation, compaction, shutdown) fsyncs it, so
 //! every *sealed* segment is durable.
 //!
-//! Recovery ([`ResultStore::recover`]) distinguishes two failure shapes:
-//! a malformed **final** line is the expected torn-append crash artifact
-//! and is skipped in place, while a malformed line **mid-file** means the
-//! segment was corrupted after the fact (bit rot, foreign writes) — the
-//! whole file is moved into `<dir>/quarantine/` rather than trusted, and
-//! only the entries before the corruption point are loaded. Recovery never
-//! aborts a service start.
+//! Recovery ([`ResultStore::recover`]) is the only code that reads a
+//! segment: start-up loads through it, and so does compaction. It
+//! distinguishes two failure shapes: a malformed **final** line is the
+//! expected torn-append crash artifact and is skipped in place, while a
+//! malformed line **mid-file** means the segment was corrupted after the
+//! fact (bit rot, foreign writes) — the whole file is moved into
+//! `<dir>/quarantine/` rather than trusted, and only the entries before the
+//! corruption point are loaded. Recovery never aborts a service start.
+//! [`Recovery::latest`] applies last-write-wins to what it read.
 //!
 //! Reading back parses each line with `serde_json::from_str` and decodes
 //! the result through `RunResult`'s derived `Deserialize`. The three
@@ -28,6 +30,7 @@ use crate::faults::{AppendFault, FaultPlan};
 use crate::key::CellKey;
 use comet_sim::RunResult;
 use serde::{Deserialize, Value};
+use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -53,8 +56,8 @@ pub struct ResultStore {
 /// What [`ResultStore::recover`] found on disk.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Every trusted `(key, result)` entry, in write order (callers apply
-    /// last-write-wins for re-recorded keys).
+    /// Every trusted `(key, result)` entry, in write order; a re-recorded
+    /// key appears once per write (see [`latest`](Self::latest)).
     pub entries: Vec<(CellKey, RunResult)>,
     /// Malformed final lines skipped in place (torn appends).
     pub torn_lines: usize,
@@ -63,11 +66,25 @@ pub struct Recovery {
     pub quarantined: usize,
 }
 
+impl Recovery {
+    /// Each key's last trusted write, in the order of those writes: the
+    /// cache state the segments describe, and the order its LRU clock
+    /// replays them in.
+    pub fn latest(self) -> Vec<(CellKey, RunResult)> {
+        let mut entries = self.entries;
+        let mut seen = HashSet::with_capacity(entries.len());
+        let last_write: Vec<bool> = entries.iter().rev().map(|(key, _)| seen.insert(*key)).collect();
+        let mut last_write = last_write.into_iter().rev();
+        entries.retain(|_| last_write.next().expect("one mark per entry"));
+        entries
+    }
+}
+
 impl ResultStore {
     /// Opens (creating if needed) the store directory. Existing segments are
     /// left untouched; new entries go to a fresh segment after the highest
-    /// existing index. Use [`recover`](Self::recover) (or the legacy
-    /// [`stream`](Self::stream)) to load what's already there.
+    /// existing index. Use [`recover`](Self::recover) to load what's already
+    /// there.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ResultStore> {
         Self::open_faulted(dir, None)
     }
@@ -144,8 +161,7 @@ impl ResultStore {
             self.segments_on_disk += 1;
         }
         let writer = self.writer.as_mut().expect("writer opened above");
-        let result_json = serde_json::to_string(result).expect("value-tree serialization cannot fail");
-        let line = format!("{{\"key\":\"{key}\",\"result\":{result_json}}}");
+        let line = entry_line(key, result);
         if let Some(plan) = &self.faults {
             match plan.on_append() {
                 AppendFault::Proceed => {}
@@ -162,13 +178,6 @@ impl ResultStore {
         writer.flush()?;
         self.entries_in_segment += 1;
         Ok(())
-    }
-
-    /// Streams every persisted entry across all segments, in write order.
-    /// Malformed lines (torn tail writes) are counted, not propagated.
-    pub fn stream(&self) -> std::io::Result<StoreReader> {
-        let files = segment_files(&self.dir)?;
-        Ok(StoreReader { files, current: None, skipped: 0 })
     }
 
     /// Loads every trusted entry from disk, quarantining corrupt segments
@@ -261,56 +270,11 @@ pub(crate) fn segment_files(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> 
     Ok(files)
 }
 
-/// Streaming reader over a store's segments: yields `(key, result)` pairs one
-/// line at a time without materializing whole segments.
-#[derive(Debug)]
-pub struct StoreReader {
-    files: Vec<(u64, PathBuf)>,
-    current: Option<std::io::Lines<BufReader<File>>>,
-    skipped: usize,
-}
-
-impl StoreReader {
-    /// Lines that failed to parse so far (torn writes, foreign files).
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-}
-
-impl Iterator for StoreReader {
-    type Item = (CellKey, RunResult);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(lines) = &mut self.current {
-                for line in lines.by_ref() {
-                    let line = match line {
-                        Ok(line) => line,
-                        Err(_) => {
-                            self.skipped += 1;
-                            continue;
-                        }
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_entry(&line) {
-                        Some(entry) => return Some(entry),
-                        None => self.skipped += 1,
-                    }
-                }
-                self.current = None;
-            }
-            if self.files.is_empty() {
-                return None;
-            }
-            let (_, path) = self.files.remove(0);
-            match File::open(&path) {
-                Ok(file) => self.current = Some(BufReader::new(file).lines()),
-                Err(_) => self.skipped += 1,
-            }
-        }
-    }
+/// One segment line, without its newline: the only place the line format
+/// is written (appends and compaction both call it).
+pub(crate) fn entry_line(key: CellKey, result: &RunResult) -> String {
+    let result_json = serde_json::to_string(result).expect("value-tree serialization cannot fail");
+    format!("{{\"key\":\"{key}\",\"result\":{result_json}}}")
 }
 
 fn parse_entry(line: &str) -> Option<(CellKey, RunResult)> {
@@ -356,6 +320,19 @@ mod tests {
     }
 
     #[test]
+    fn latest_keeps_each_keys_last_write_in_write_order() {
+        let write =
+            |key: u128, instructions: u64| (CellKey(key), RunResult { instructions, ..RunResult::default() });
+        let recovery = Recovery {
+            entries: vec![write(0, 1), write(1, 2), write(2, 3), write(1, 4)],
+            ..Recovery::default()
+        };
+        let latest: Vec<(CellKey, u64)> =
+            recovery.latest().into_iter().map(|(key, result)| (key, result.instructions)).collect();
+        assert_eq!(latest, [(CellKey(0), 1), (CellKey(2), 3), (CellKey(1), 4)]);
+    }
+
+    #[test]
     fn segments_rotate_and_stream_back_in_order() {
         let dir = std::env::temp_dir().join(format!("comet-store-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -368,14 +345,14 @@ mod tests {
         }
         assert_eq!(segment_files(&dir).unwrap().len(), 2, "rotation after SEGMENT_CAPACITY entries");
 
-        // Reopen: entries stream back in write order, new appends go to a new segment.
+        // Reopen: entries read back in write order, new appends go to a new segment.
         let mut store = ResultStore::open(&dir).unwrap();
-        let entries: Vec<_> = store.stream().unwrap().collect();
+        let entries = store.recover().unwrap().entries;
         assert_eq!(entries.len(), SEGMENT_CAPACITY + 3);
         assert_eq!(entries[0].0, CellKey(0));
         assert_eq!(entries.last().unwrap().0, CellKey((SEGMENT_CAPACITY + 2) as u128));
         store.append(CellKey(9999), &result).unwrap();
-        assert_eq!(store.stream().unwrap().count(), SEGMENT_CAPACITY + 4);
+        assert_eq!(store.recover().unwrap().entries.len(), SEGMENT_CAPACITY + 4);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -394,12 +371,10 @@ mod tests {
         write!(file, "{{\"key\":\"00000000000000000000000000000002\",\"result\":{{\"label\":\"tor").unwrap();
         drop(file);
 
-        let store = ResultStore::open(&dir).unwrap();
-        let mut reader = store.stream().unwrap();
-        let entries: Vec<_> = reader.by_ref().collect();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0, CellKey(1));
-        assert_eq!(reader.skipped(), 1);
+        let recovery = ResultStore::open(&dir).unwrap().recover().unwrap();
+        assert_eq!(recovery.entries.len(), 1);
+        assert_eq!(recovery.entries[0].0, CellKey(1));
+        assert_eq!((recovery.torn_lines, recovery.quarantined), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -3,10 +3,12 @@
 //! fresh `Runner` results for the same key.
 
 use comet_service::store::result_projection;
-use comet_service::ExperimentService;
+use comet_service::{ExperimentService, FaultPlan, ServiceConfig};
 use comet_sim::experiments::{attack_grid, CellBackend, CellSpec, ExperimentScope, ParallelExecutor};
 use comet_sim::{MechanismKind, Runner, RunnerError, SimConfig};
 use comet_trace::AttackKind;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn service() -> ExperimentService {
     ExperimentService::new(ParallelExecutor::new())
@@ -146,4 +148,42 @@ fn different_runner_identities_never_share_cells() {
     service.run_cells(&base, std::slice::from_ref(&cell)).unwrap();
     service.run_cells(&other_seed, std::slice::from_ref(&cell)).unwrap();
     assert_eq!(service.stats().simulated, 2, "a different seed is a different cell identity");
+}
+
+/// An owner whose cell keeps panicking releases its claim, and a call that
+/// was waiting on it claims the cell and simulates it. The worker gate holds
+/// the owner until the waiter is known to wait, so the re-claim always runs.
+#[test]
+fn a_waiter_reclaims_a_cell_whose_owner_failed() {
+    let runner = smoke_runner();
+    let cell = CellSpec::single("429.mcf", MechanismKind::Baseline, 1000);
+    // Default config: 3 attempts, so the owner spends every scripted panic.
+    let plan = Arc::new(FaultPlan::new().panic_on(cell.label(), 3));
+    let service = ExperimentService::with_fault_plan(
+        ParallelExecutor::serial(),
+        None,
+        ServiceConfig::default(),
+        plan.clone(),
+    )
+    .unwrap();
+    plan.hold_workers();
+
+    let (owner, waiter) = std::thread::scope(|scope| {
+        let owner = scope.spawn(|| service.run_cells(&runner, std::slice::from_ref(&cell)));
+        while plan.workers_held() != 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let waiter = scope.spawn(|| service.run_cells(&runner, std::slice::from_ref(&cell)));
+        while service.stats().inflight_waits != 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        plan.release_workers();
+        (owner.join().unwrap(), waiter.join().unwrap())
+    });
+
+    assert_eq!(owner.unwrap_err(), RunnerError::WorkerPanic { label: cell.label(), attempts: 3 });
+    let fresh = cell.run(&runner).unwrap();
+    assert_eq!(result_projection(&waiter.unwrap()[0]), result_projection(&fresh));
+    let stats = service.stats();
+    assert_eq!((stats.inflight_waits, stats.failed, stats.simulated, stats.worker_retries), (1, 1, 1, 2));
 }

@@ -183,7 +183,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = ResultStore::open(&dir).unwrap();
         store.append(CellKey(key as u128), &result).unwrap();
-        let entries: Vec<_> = store.stream().unwrap().collect();
+        let entries = store.recover().unwrap().entries;
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(entries.len(), 1, "the line must read back: {}", result_projection(&result));
         prop_assert_eq!(entries[0].0, CellKey(key as u128));

@@ -283,6 +283,50 @@ fn segment_bound_triggers_compaction_and_survives_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Compaction trusts exactly what a restart trusts: a segment corrupted
+/// mid-file after start-up is quarantined by the compaction pass, not read
+/// past and deleted, and only the entries before the corruption are kept.
+#[test]
+fn compaction_quarantines_a_segment_corrupted_after_startup() {
+    let dir = temp_dir("compact-corrupt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let runner = smoke_runner();
+    let cells = cells();
+    let novel = CellSpec::single("473.astar", MechanismKind::Baseline, 1000);
+    {
+        let service = ExperimentService::with_cache_dir(ParallelExecutor::serial(), &dir).unwrap();
+        service.run_cells(&runner, &cells).unwrap();
+    }
+    let config = ServiceConfig { max_segments: Some(1), ..ServiceConfig::default() };
+    let service =
+        ExperimentService::with_config(ParallelExecutor::serial(), Some(dir.clone()), config).unwrap();
+    assert_eq!(service.stats().loaded_from_disk, 3);
+
+    // Corrupt the middle line of the one segment under the running service.
+    let segment = dir.join("segment-000000.jsonl");
+    let content = std::fs::read_to_string(&segment).unwrap();
+    let lines: Vec<&str> = content.lines().collect();
+    assert_eq!(lines.len(), 3);
+    std::fs::write(&segment, format!("{}\n###CORRUPT###\n{}\n", lines[0], lines[2])).unwrap();
+
+    // The next append opens a second segment, past the bound: compaction.
+    service.run_cells(&runner, std::slice::from_ref(&novel)).unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.compactions, 1);
+    assert_eq!(stats.quarantined_segments, 1, "the compaction pass counts what it quarantined");
+    assert!(dir.join(QUARANTINE_DIR).join("segment-000000.jsonl").exists(), "moved, not deleted");
+    drop(service);
+
+    // Restart: the line before the corruption and the novel cell survive;
+    // the line after it was never trusted.
+    let service = ExperimentService::with_cache_dir(ParallelExecutor::serial(), &dir).unwrap();
+    let stats = service.stats();
+    assert_eq!((stats.loaded_from_disk, stats.quarantined_segments), (2, 0));
+    service.run_cells(&runner, &[cells[0].clone(), novel]).unwrap();
+    assert_eq!(service.stats().simulated, 0, "both survivors are warm");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Admission control over the real Unix-socket daemon: with the one worker
 /// held at the fault-plan gate and a queue bound of 1, a third concurrent
 /// submit is shed with a typed `overloaded` reply (and counted), a queued
