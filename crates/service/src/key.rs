@@ -17,7 +17,7 @@
 
 use comet_sim::experiments::CellSpec;
 use comet_sim::Runner;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 /// Version tag mixed into every canonical form. Bump on any intentional
 /// change to the canonical encoding.
@@ -65,16 +65,21 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
 ///
 /// Compact JSON of `{schema, config, seed, loop, cell}` — field order fixed
 /// by construction here and by declaration order inside the derived
-/// `Serialize` impls of [`comet_sim::SimConfig`] and [`CellSpec`].
+/// `Serialize` impls of [`comet_sim::SimConfig`] and [`CellSpec`]. Each part
+/// is serialized on its own and written into one object, so no combined
+/// `Value` tree is built (serializing a `Value` would deep-clone it).
 pub fn canonical_cell_form(runner: &Runner, cell: &CellSpec) -> String {
-    let value = Value::Map(vec![
-        ("schema".to_string(), Value::Str(KEY_SCHEMA.to_string())),
-        ("config".to_string(), runner.config().to_value()),
-        ("seed".to_string(), Value::UInt(runner.seed())),
-        ("loop".to_string(), Value::Str(runner.loop_mode().name().to_string())),
-        ("cell".to_string(), cell.to_value()),
-    ]);
-    serde_json::to_string(&value).expect("value-tree serialization cannot fail")
+    fn json<T: Serialize + ?Sized>(part: &T) -> String {
+        serde_json::to_string(part).expect("value-tree serialization cannot fail")
+    }
+    format!(
+        "{{\"schema\":{},\"config\":{},\"seed\":{},\"loop\":{},\"cell\":{}}}",
+        json(KEY_SCHEMA),
+        json(runner.config()),
+        json(&runner.seed()),
+        json(runner.loop_mode().name()),
+        json(cell),
+    )
 }
 
 /// The content-addressed key of one cell under one runner identity.

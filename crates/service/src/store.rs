@@ -147,7 +147,9 @@ impl ResultStore {
 
     /// Appends one completed cell. Flushed per entry so a reader (or a
     /// restart) sees every fully written line; the previous segment is
-    /// fsynced when a rotation seals it.
+    /// fsynced when a rotation seals it. An append that fails after it may
+    /// have written part of its line closes the segment, so that part stays
+    /// the segment's torn tail and the next append opens a fresh segment.
     pub fn append(&mut self, key: CellKey, result: &RunResult) -> std::io::Result<()> {
         if self.entries_in_segment >= SEGMENT_CAPACITY {
             self.seal()?;
@@ -168,16 +170,31 @@ impl ResultStore {
                 AppendFault::Enospc => return Err(FaultPlan::enospc_error()),
                 AppendFault::Torn { keep_bytes } => {
                     let keep = keep_bytes.min(line.len());
-                    writer.write_all(&line.as_bytes()[..keep])?;
-                    writer.flush()?;
+                    let torn = writer.write_all(&line.as_bytes()[..keep]).and_then(|()| writer.flush());
+                    self.abandon_segment();
+                    torn?;
                     return Err(FaultPlan::torn_error());
                 }
             }
         }
-        writeln!(writer, "{line}")?;
-        writer.flush()?;
+        let written = writeln!(writer, "{line}").and_then(|()| writer.flush());
+        if written.is_err() {
+            self.abandon_segment();
+        }
+        written?;
         self.entries_in_segment += 1;
         Ok(())
+    }
+
+    /// Closes the open segment after a failed append without flushing what
+    /// its writer still buffers (dropping a `BufWriter` would flush it), so
+    /// nothing lands after a partial line. The lines before it are synced as
+    /// sealing would; that is best effort, since the append already fails.
+    fn abandon_segment(&mut self) {
+        if let Some(writer) = self.writer.take() {
+            let (file, _unflushed) = writer.into_parts();
+            let _ = file.sync_all();
+        }
     }
 
     /// Loads every trusted entry from disk, quarantining corrupt segments

@@ -1,11 +1,14 @@
 //! The derived `Deserialize` impls must invert the serializer: a random
 //! cell's job payload decodes and re-encodes byte for byte, and a random
-//! result written as a store line reads back to the same projection.
+//! result written as a store line reads back to the same projection. The
+//! canonical cell form must stay the compact JSON of the one `Value` tree it
+//! was once serialized from, so no cell key moves.
 
 use comet_mitigations::MitigationStats;
+use comet_service::key::fnv1a_128;
 use comet_service::store::result_projection;
 use comet_service::wire::decode_job;
-use comet_service::{canonical_cell_form, CellKey, ResultStore};
+use comet_service::{canonical_cell_form, cell_key, CellKey, ResultStore, KEY_SCHEMA};
 use comet_sim::experiments::{CellSpec, WorkloadSpec};
 use comet_sim::AddressScheme::{RoCoRaBgBaCh, RoRaBgBaChCo, RoRaBgBaCoCh, RoRaBgBaCoChXor};
 use comet_sim::MechanismKind::{
@@ -175,6 +178,27 @@ proptest! {
         prop_assert_eq!(job.runner.config(), &config);
         prop_assert_eq!((job.runner.seed(), job.runner.loop_mode()), (seed, mode));
         prop_assert_eq!(job.cell, cell);
+    }
+
+    #[test]
+    fn the_canonical_form_is_the_compact_json_of_one_tree(
+        config in Configs,
+        cell in Cells,
+        seed in any::<u64>(),
+        dense in any::<bool>(),
+    ) {
+        let mode = if dense { LoopMode::DenseReference } else { LoopMode::EventDriven };
+        let runner = Runner::with_seed(config.clone(), seed).with_loop_mode(mode);
+        let tree = Value::Map(vec![
+            ("schema".to_string(), Value::Str(KEY_SCHEMA.to_string())),
+            ("config".to_string(), config.to_value()),
+            ("seed".to_string(), Value::UInt(seed)),
+            ("loop".to_string(), Value::Str(mode.name().to_string())),
+            ("cell".to_string(), cell.to_value()),
+        ]);
+        let form = canonical_cell_form(&runner, &cell);
+        prop_assert_eq!(&form, &serde_json::to_string(&tree).unwrap());
+        prop_assert_eq!(cell_key(&runner, &cell), CellKey(fnv1a_128(form.as_bytes())));
     }
 
     #[test]

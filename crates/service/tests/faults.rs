@@ -37,7 +37,22 @@ fn cells() -> Vec<CellSpec> {
 /// simulation of the same cells.
 #[test]
 fn torn_write_mid_batch_restart_is_warm_and_bit_exact() {
-    let dir = temp_dir("torn");
+    torn_append_costs_one_resimulation("torn", 2);
+}
+
+/// A torn append that is not the last closes its segment: the next append
+/// opens a fresh one, so the partial line stays a torn tail and costs only
+/// its own cell instead of the rest of the segment.
+#[test]
+fn a_torn_first_append_costs_only_its_own_cell() {
+    torn_append_costs_one_resimulation("torn-first", 0);
+}
+
+/// Tears the `nth` append (0-based) of the serial 3-cell batch mid-line,
+/// restarts on the same directory and checks that only the torn cell
+/// re-simulates.
+fn torn_append_costs_one_resimulation(tag: &str, nth: u64) {
+    let dir = temp_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     let runner = smoke_runner();
     let cells = cells();
@@ -50,11 +65,11 @@ fn torn_write_mid_batch_restart_is_warm_and_bit_exact() {
         .map(result_projection)
         .collect();
 
-    // First lifetime: the third (last) append tears mid-line — the crash
-    // artifact recovery expects. Serial executor makes the append order (and
-    // so the torn cell) deterministic.
+    // First lifetime: one append tears mid-line, the crash artifact
+    // recovery expects. Serial executor makes the append order (and so the
+    // torn cell) deterministic.
     {
-        let plan = Arc::new(FaultPlan::new().tear_append(2, 25));
+        let plan = Arc::new(FaultPlan::new().tear_append(nth, 25));
         let service = ExperimentService::with_fault_plan(
             ParallelExecutor::serial(),
             Some(dir.clone()),
@@ -76,9 +91,11 @@ fn torn_write_mid_batch_restart_is_warm_and_bit_exact() {
     // two durable cells reload, and only the torn cell re-simulates.
     let service = ExperimentService::with_cache_dir(ParallelExecutor::serial(), &dir).unwrap();
     let stats = service.stats();
-    assert_eq!(stats.loaded_from_disk, 2, "both fully written cells reload");
-    assert_eq!(stats.torn_lines, 1, "the torn tail is recognized as a crash artifact");
-    assert_eq!(stats.quarantined_segments, 0, "a torn tail is not corruption");
+    assert_eq!(
+        (stats.loaded_from_disk, stats.torn_lines, stats.quarantined_segments),
+        (2, 1, 0),
+        "both fully written cells reload; a torn tail is not corruption"
+    );
     let results = service.run_cells(&runner, &cells).unwrap();
     let warm = service.stats();
     assert_eq!(warm.cache_hits, 2);
