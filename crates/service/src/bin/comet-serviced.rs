@@ -23,15 +23,17 @@
 //!   `DIR` and pre-load whatever is already there (corrupt segments are
 //!   quarantined under `DIR/quarantine/`, never fatal).
 //! * `--threads N` — worker threads for cell simulation (default: all cores).
-//! * `--job-workers N` — concurrent sweep requests (default 1: strict
-//!   priority order across clients).
-//! * `--queue-depth N` — admission bound: `run` requests past `N` queued
-//!   jobs are shed with a typed `overloaded` response (default 1024).
+//! * `--job-workers N` — sweep requests run at once, each on the connection
+//!   thread that read it (default 1: strict priority order across clients).
+//! * `--queue-depth N` — admission bound: `run` requests arriving while `N`
+//!   others wait are shed with a typed `overloaded` response (default 1024).
 //! * `--max-cells N` — in-memory cache bound: least-recently-used completed
 //!   cells are evicted past `N` (default: unbounded).
 //! * `--max-segments N` — on-disk bound: exceeding `N` segment files
 //!   triggers a compaction pass that rewrites only live keys (default:
-//!   never compact).
+//!   never compact). Once the live cells fill `N` segments or more, the
+//!   store keeps at most one segment more than the last pass wrote, so
+//!   passes come at least 512 appends (one segment) apart.
 //! * `--lease-timeout-ms N` — fleet lease/heartbeat timeout: a worker silent
 //!   for `N` ms loses its leases, and its cells requeue (default 2000).
 //! * `--max-redeliveries N` — redelivery budget per cell before the

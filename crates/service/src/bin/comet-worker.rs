@@ -1,13 +1,13 @@
 //! The fleet worker binary.
 //!
 //! ```text
-//! comet-worker --connect tcp://HOST:PORT [--threads N] [--heartbeat-ms N]
-//!              [--backoff-ms N] [--max-reconnects N]
+//! comet-worker --connect tcp://HOST:PORT [--heartbeat-ms N] [--backoff-ms N]
+//!              [--max-reconnects N]
 //! ```
 //!
 //! Connects out to a `comet-serviced --listen` coordinator, registers with
-//! its capability set (threads, cell-key schema), pulls leased cells,
-//! simulates them, and streams results back. On a lost connection it
+//! its cell-key schema, pulls leased cells one at a time, simulates them,
+//! and streams results back. On a lost connection it
 //! reconnects with jittered exponential backoff and re-registers under a
 //! fresh worker id; the coordinator requeues anything the old id held.
 //!
@@ -50,7 +50,6 @@ fn parse_args() -> WorkerConfig {
                     }
                 }
             }
-            "--threads" => config.threads = parse_count("--threads", value("--threads")) as usize,
             "--heartbeat-ms" => config.heartbeat_ms = parse_count("--heartbeat-ms", value("--heartbeat-ms")),
             "--backoff-ms" => config.backoff_ms = parse_count("--backoff-ms", value("--backoff-ms")),
             "--max-reconnects" => {
@@ -59,8 +58,8 @@ fn parse_args() -> WorkerConfig {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: comet-worker --connect tcp://HOST:PORT [--threads N] \
-                     [--heartbeat-ms N] [--backoff-ms N] [--max-reconnects N]"
+                    "usage: comet-worker --connect tcp://HOST:PORT [--heartbeat-ms N] \
+                     [--backoff-ms N] [--max-reconnects N]"
                 );
                 std::process::exit(0);
             }
@@ -80,10 +79,7 @@ fn parse_args() -> WorkerConfig {
 fn main() {
     let config = parse_args();
     let stop = Arc::new(AtomicBool::new(false));
-    eprintln!(
-        "comet-worker[{}]: connecting to tcp://{} ({} thread(s))",
-        config.identity, config.addr, config.threads
-    );
+    eprintln!("comet-worker[{}]: connecting to tcp://{}", config.identity, config.addr);
     match run_worker(&config, &stop) {
         Ok(report) => {
             eprintln!(

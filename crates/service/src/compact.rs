@@ -9,7 +9,9 @@
 //! quarantined there, not read past), keeps each live key's last write in
 //! the order of those writes, and rewrites those records into fresh
 //! segments. A compacted store therefore reloads in the same LRU order as
-//! the store it replaced.
+//! the store it replaced. Appends then continue the last rewritten segment
+//! until it holds [`SEGMENT_CAPACITY`] entries, so a pass that cannot fill
+//! its last segment does not leave the next append a fresh one.
 //!
 //! Crash safety is tmp-then-rename: each new segment is fully written and
 //! fsynced as `compact-NNNNNN.tmp`, then renamed to `segment-NNNNNN.jsonl`
@@ -42,8 +44,8 @@ pub struct CompactionReport {
 
 impl ResultStore {
     /// Compacts the store down to `live` keys (see the module docs). The
-    /// open segment is sealed first; the next append starts a fresh segment
-    /// above the compacted ones.
+    /// open segment is sealed first; the last compacted segment is the open
+    /// one afterwards.
     pub fn compact(&mut self, live: &HashSet<CellKey>) -> std::io::Result<CompactionReport> {
         let _span = comet_telemetry::span("store.compact");
         self.seal()?;
@@ -87,7 +89,9 @@ impl ResultStore {
         }
 
         let segments_after = new_paths.len();
-        self.set_layout(next_index + segments_after as u64, segments_after);
+        let last =
+            new_paths.last().map(|path| (path.as_path(), kept - (segments_after - 1) * SEGMENT_CAPACITY));
+        self.set_layout(next_index + segments_after as u64, segments_after, last)?;
         Ok(CompactionReport { kept, dropped: records - kept, quarantined, segments_before, segments_after })
     }
 }
@@ -127,7 +131,7 @@ mod tests {
         assert_eq!(store.segments_on_disk(), 1);
 
         // The compacted store reloads exactly the live set, and appends
-        // after compaction land in a fresh segment above it.
+        // after compaction continue its last segment.
         store.append(CellKey(100), &result).unwrap();
         let recovery = ResultStore::open(&dir).unwrap().recover().unwrap();
         let keys: Vec<CellKey> = recovery.entries.into_iter().map(|(key, _)| key).collect();

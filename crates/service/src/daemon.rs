@@ -1,33 +1,36 @@
 //! The long-running experiment daemon.
 //!
 //! Connections (Unix-domain socket, or a single stdin/stdout session) read
-//! one JSON request per line. `run` requests are enqueued on the shared
-//! priority [`JobQueue`] and executed by a worker pool; each connection
-//! blocks on its own request's completion before reading its next line, so
-//! the *queue* arbitrates between clients (higher-priority sweeps from one
-//! client overtake queued lower-priority sweeps from another) while each
-//! client stays strictly ordered. `ping` / `stats` / `shutdown` are answered
-//! inline without queueing.
+//! one JSON request per line. A `run` request executes on the connection
+//! thread that read it, once the daemon's priority [`AdmissionGate`] admits
+//! it: the gate holds `job_workers` slots and hands a free one to the
+//! highest-priority waiting run, earliest arrival first among equals. Each
+//! connection finishes its run before reading its next line, so the *gate*
+//! arbitrates between clients (a higher-priority sweep from one client
+//! overtakes waiting lower-priority sweeps from another) while each client
+//! stays strictly ordered. `ping` / `stats` / `shutdown` are answered
+//! without passing the gate.
 //!
 //! Connections are **accepted concurrently**: every Unix-socket connection
 //! gets its own handler thread over the shared [`ExperimentService`], so an
-//! idle or slow client never blocks another client's `ping` or queued sweep
-//! (historically the accept loop served one connection at a time and clients
-//! queued on `connect`). The accept loop polls so a `shutdown` received on
-//! any connection stops the daemon without waiting for a further connection,
-//! and handler reads use a timeout so open idle connections observe the
-//! shutdown flag promptly instead of pinning the daemon.
+//! idle or slow client never blocks another client's `ping` or waiting
+//! sweep (historically the accept loop served one connection at a time and
+//! clients queued on `connect`). The accept loop polls so a `shutdown`
+//! received on any connection stops the daemon without waiting for a
+//! further connection, and handler reads use a timeout so open idle
+//! connections observe the shutdown flag promptly instead of pinning the
+//! daemon.
 //!
 //! ## Admission control and drain
 //!
-//! The queue is bounded ([`DEFAULT_QUEUE_BOUND`] unless overridden with
-//! [`Daemon::with_queue_bound`]): a `run` arriving while the queue is full
-//! is **shed** with a typed `overloaded` error response (carrying a
-//! `retry_after_ms` hint) instead of growing the queue without limit —
-//! clients retry with jittered exponential backoff. At shutdown the queue
-//! is closed and **drained**: in-flight sweeps finish normally, while
-//! queued-but-unstarted jobs each receive a clean `shutting_down` error
-//! response rather than being silently dropped.
+//! The gate is bounded ([`DEFAULT_QUEUE_BOUND`] waiting runs unless
+//! overridden with [`Daemon::with_queue_bound`]): a `run` arriving while
+//! the bound is reached is **shed** with a typed `overloaded` error response
+//! (carrying a `retry_after_ms` hint) instead of the wait growing without
+//! limit — clients retry with jittered exponential backoff. At shutdown the
+//! gate is closed and **drained**: admitted sweeps finish normally, while
+//! every run still waiting receives a clean `shutting_down` error response
+//! rather than being silently dropped.
 //!
 //! ## The fleet coordinator
 //!
@@ -39,42 +42,36 @@
 //! connection drops, the worker's leases expire immediately and its cells
 //! requeue, which is what makes a SIGKILLed worker's cells complete
 //! elsewhere without waiting out the heartbeat timeout. `shutdown` drains
-//! the fleet alongside the queue, so leased cells resolve as typed
+//! the fleet alongside the gate, so leased cells resolve as typed
 //! `shutting_down` rejections instead of hanging.
 
 use crate::error::ServiceError;
 use crate::fleet::{Fleet, PullOutcome};
 use crate::protocol::{self, LineConn, LineEvent, Op, Request};
-use crate::queue::{JobQueue, PopWait, Push};
+use crate::queue::{AdmissionGate, Refused};
 use crate::service::ExperimentService;
 use comet_sim::RunResult;
 use serde::Deserialize;
 use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-/// Queued `run` jobs tolerated before admission control sheds new ones.
+/// `run` requests tolerated waiting at the gate before admission control
+/// sheds new ones.
 pub const DEFAULT_QUEUE_BOUND: usize = 1024;
 
-/// One queued `run` job: the request plus the channel its response goes to.
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<String>,
-}
-
-/// The daemon: a shared service, a bounded priority queue, and a worker pool.
+/// The daemon: a shared service behind a priority admission gate.
 pub struct Daemon {
     service: Arc<ExperimentService>,
-    queue: Arc<JobQueue<Job>>,
-    shutdown: Arc<AtomicBool>,
-    job_workers: usize,
+    gate: AdmissionGate,
+    shutdown: AtomicBool,
     fleet: Option<Arc<Fleet>>,
 }
 
 impl Daemon {
-    /// A daemon over `service` with `job_workers` concurrent sweep executors
-    /// and the default admission bound. One worker (the default for the
-    /// binary) gives strict priority order; more workers trade ordering for
+    /// A daemon over `service` that runs up to `job_workers` sweeps at once,
+    /// with the default admission bound. One slot (the default for the
+    /// binary) gives strict priority order; more trade ordering for
     /// sweep-level concurrency (cell-level work is still deduplicated by the
     /// service).
     pub fn new(service: Arc<ExperimentService>, job_workers: usize) -> Self {
@@ -82,14 +79,13 @@ impl Daemon {
     }
 
     /// [`new`](Self::new) with an explicit admission bound: `run` requests
-    /// arriving while `queue_bound` jobs are already queued are shed with a
+    /// arriving while `queue_bound` others wait at the gate are shed with a
     /// typed `overloaded` response.
     pub fn with_queue_bound(service: Arc<ExperimentService>, job_workers: usize, queue_bound: usize) -> Self {
         Daemon {
             service,
-            queue: Arc::new(JobQueue::bounded(queue_bound)),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            job_workers: job_workers.max(1),
+            gate: AdmissionGate::new(job_workers, queue_bound),
+            shutdown: AtomicBool::new(false),
             fleet: None,
         }
     }
@@ -113,9 +109,9 @@ impl Daemon {
         &self.service
     }
 
-    /// Jobs currently queued (not yet picked up by a worker).
+    /// `run` requests currently waiting at the gate (not yet admitted).
     pub fn queued_jobs(&self) -> usize {
-        self.queue.len()
+        self.gate.waiting()
     }
 
     /// Whether `shutdown` has been requested.
@@ -123,67 +119,16 @@ impl Daemon {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    fn spawn_workers<'scope>(&self, scope: &'scope std::thread::Scope<'scope, '_>) {
-        for _ in 0..self.job_workers {
-            let queue = self.queue.clone();
-            let service = self.service.clone();
-            let shutdown = self.shutdown.clone();
-            scope.spawn(move || {
-                loop {
-                    // A bounded wait so a worker parked on an empty queue
-                    // still observes the shutdown flag even if no one closed
-                    // the queue (a defensive backstop: `begin_shutdown`
-                    // normally closes it).
-                    let job = match queue.pop_timeout(std::time::Duration::from_millis(200)) {
-                        PopWait::Job(job) => job,
-                        PopWait::TimedOut => {
-                            if shutdown.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            continue;
-                        }
-                        PopWait::Closed => return,
-                    };
-                    // A panicking simulation must not kill the worker: the
-                    // service's claim guard has already released the cell
-                    // claims during unwind, so catching here turns the panic
-                    // into an error response and keeps the queue draining.
-                    let request = job.request;
-                    let id = request.id;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        protocol::handle_request(&service, &request).0
-                    }));
-                    let line = outcome.unwrap_or_else(|_| {
-                        protocol::error_response(
-                            id,
-                            &ServiceError::Protocol("internal error: request execution panicked".to_string()),
-                        )
-                    });
-                    // A dropped receiver (client hung up) is not an error.
-                    let _ = job.reply.send(line);
-                }
-            });
-        }
-    }
-
-    /// Closes the queue and rejects every queued-but-unstarted job with a
-    /// clean `shutting_down` response. In-flight jobs (already popped by a
-    /// worker) finish normally; their connections get real responses.
-    fn reject_queued(&self) {
-        for job in self.queue.close_and_drain() {
-            let line = protocol::error_response(job.request.id, &ServiceError::ShuttingDown);
-            let _ = job.reply.send(line);
-        }
-    }
-
     /// Starts the shutdown sequence: flag, fleet drain (leased cells resolve
-    /// as typed `shutting_down` rejections), queue drain. Idempotent.
+    /// as typed `shutting_down` rejections), and the gate's close, which
+    /// answers every waiting `run` with `shutting_down`. Admitted runs finish
+    /// normally; their connections get real responses. Idempotent.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(fleet) = &self.fleet {
             fleet.drain();
         }
-        self.reject_queued();
+        self.gate.close_and_drain();
     }
 
     /// Computes the response line for one request line. Returns `None` for
@@ -198,27 +143,9 @@ impl Daemon {
         Some(match protocol::parse_request(line) {
             Err((id, error)) => (protocol::error_response(id, &error), false),
             Ok(request) => match &request.op {
-                Op::Run { priority, .. } => {
-                    let priority = *priority;
-                    let id = request.id;
-                    let (tx, rx) = mpsc::channel();
-                    let response = match self.queue.push(Job { request, reply: tx }, priority) {
-                        Push::Queued => rx.recv().unwrap_or_else(|_| {
-                            protocol::error_response(
-                                id,
-                                &ServiceError::Protocol("worker dropped the request".to_string()),
-                            )
-                        }),
-                        Push::Overloaded { queued, bound } => {
-                            self.service.note_shed();
-                            protocol::error_response(id, &ServiceError::Overloaded { queued, bound })
-                        }
-                        Push::Closed => protocol::error_response(id, &ServiceError::ShuttingDown),
-                    };
-                    (response, false)
-                }
+                Op::Run { priority, .. } => (self.run(&request, *priority), false),
                 Op::Shutdown => {
-                    let (response, _) = protocol::handle_request(&self.service, &request);
+                    let response = protocol::handle_request(&self.service, &request);
                     self.begin_shutdown();
                     (response, true)
                 }
@@ -227,8 +154,34 @@ impl Daemon {
                 {
                     (self.fleet_response(&request, registered), false)
                 }
-                _ => (protocol::handle_request(&self.service, &request).0, false),
+                _ => (protocol::handle_request(&self.service, &request), false),
             },
+        })
+    }
+
+    /// Runs one `run` request on the calling connection thread once the gate
+    /// admits it at `priority`. A panicking run must not kill the
+    /// connection: the service's claim guard has already released the cell
+    /// claims during unwind and the slot guard frees the slot, so catching
+    /// here turns the panic into an error response.
+    fn run(&self, request: &Request, priority: i64) -> String {
+        let id = request.id;
+        let _slot = match self.gate.admit(priority) {
+            Ok(slot) => slot,
+            Err(Refused::Overloaded { queued, bound }) => {
+                self.service.note_shed();
+                return protocol::error_response(id, &ServiceError::Overloaded { queued, bound });
+            }
+            Err(Refused::Closed) => return protocol::error_response(id, &ServiceError::ShuttingDown),
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            protocol::handle_request(&self.service, request)
+        }))
+        .unwrap_or_else(|_| {
+            protocol::error_response(
+                id,
+                &ServiceError::Protocol("internal error: request execution panicked".to_string()),
+            )
         })
     }
 
@@ -237,10 +190,10 @@ impl Daemon {
         let fleet = self.fleet.as_ref().expect("caller checked the fleet exists");
         let id = request.id;
         match &request.op {
-            Op::Register { threads, schema } => match protocol::check_schema(schema) {
+            Op::Register { schema } => match protocol::check_schema(schema) {
                 Err(error) => protocol::error_response(id, &error),
                 Ok(()) => {
-                    let worker = fleet.register(*threads);
+                    let worker = fleet.register();
                     *registered = Some(worker);
                     protocol::register_response(id, worker, fleet.lease_timeout_ms())
                 }
@@ -335,20 +288,13 @@ impl Daemon {
     /// Serves a single session on arbitrary reader/writer pairs (stdin mode,
     /// and the in-process protocol tests). Returns on EOF or `shutdown`.
     pub fn serve_session(&self, reader: impl BufRead, writer: impl Write) -> std::io::Result<()> {
-        std::thread::scope(|scope| {
-            self.spawn_workers(scope);
-            let outcome = self.serve_conn(Duplex { reader, writer });
-            // EOF without an explicit shutdown still ends the session; any
-            // still-queued jobs are rejected cleanly, not dropped.
-            self.reject_queued();
-            outcome
-        })
+        self.serve_conn(Duplex { reader, writer })
     }
 
     /// Binds `path` and serves Unix-socket connections until `shutdown`,
     /// accepting connections concurrently: each connection runs on its own
     /// handler thread over the shared service, so clients never serialize at
-    /// the accept loop — they multiplex through the priority queue instead.
+    /// the accept loop — they multiplex through the priority gate instead.
     #[cfg(unix)]
     pub fn serve_unix(&self, path: &std::path::Path) -> std::io::Result<()> {
         self.serve(Some(path), None, None)
@@ -416,7 +362,6 @@ impl Daemon {
             listener.set_nonblocking(true)?;
         }
         std::thread::scope(|scope| {
-            self.spawn_workers(scope);
             let mut accepts = Vec::new();
             if let Some(listener) = &unix {
                 let accept = || listener.accept().map(|(stream, _)| stream);
@@ -571,11 +516,15 @@ mod tests {
         // A line nested far past the parser's depth limit is refused with a
         // typed error instead of overflowing the connection thread's stack.
         let deep = format!("{{\"op\":\"run\",\"id\":1,\"targets\":{}", "[".repeat(100_000));
-        let lines = session(&format!("garbage\n{deep}\n{{\"op\":\"ping\",\"id\":9}}\n"));
-        assert_eq!(lines.len(), 3);
+        // A number the JSON grammar forbids (a leading zero) is refused too,
+        // not read as the id 1.
+        let zero_padded = "{\"op\":\"ping\",\"id\":01}";
+        let lines = session(&format!("garbage\n{deep}\n{zero_padded}\n{{\"op\":\"ping\",\"id\":9}}\n"));
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"ok\":false"));
         assert!(lines[1].contains("nesting deeper than 128 levels"), "{}", lines[1]);
-        assert!(lines[2].contains("\"pong\":true"));
+        assert_eq!(lines[2], r#"{"id":0,"ok":false,"error":"JSON parse error at byte 18: invalid number"}"#);
+        assert!(lines[3].contains("\"pong\":true"));
     }
 
     #[test]

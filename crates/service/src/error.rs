@@ -30,15 +30,16 @@ pub enum ServiceError {
         /// variant stays `Clone`/`PartialEq` for tests).
         message: String,
     },
-    /// The admission bound rejected the request: the job queue is full.
-    /// Clients should retry with jittered exponential backoff.
+    /// The admission bound rejected the request: `bound` runs already wait
+    /// at the daemon's gate. Clients should retry with jittered exponential
+    /// backoff.
     Overloaded {
-        /// Jobs queued when the request was shed.
+        /// Runs waiting when the request was shed.
         queued: usize,
-        /// The configured queue bound.
+        /// The configured admission bound.
         bound: usize,
     },
-    /// The daemon is shutting down; queued work is rejected cleanly.
+    /// The daemon is shutting down; waiting work is rejected cleanly.
     ShuttingDown,
 }
 

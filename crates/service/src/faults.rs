@@ -11,7 +11,8 @@
 //! * **workers** — [`FaultPlan::on_simulate`] runs at the top of every cell
 //!   simulation attempt and can panic on schedule (worker-crash simulation)
 //!   or hold all workers at a gate until the test releases them (the
-//!   deterministic way to fill the job queue for admission-control tests);
+//!   deterministic way to keep the daemon's admission slots busy for
+//!   admission-control tests);
 //! * **the fleet** — [`FaultPlan::on_deliver`] runs before a remote worker
 //!   reports a completed cell and can drop the connection outright or
 //!   truncate the result line mid-write (network-partition simulation),
@@ -123,7 +124,8 @@ impl FaultPlan {
     /// Closes the worker gate: every subsequent simulation attempt blocks in
     /// [`on_simulate`](Self::on_simulate) until
     /// [`release_workers`](Self::release_workers) opens it. This is how
-    /// admission-control tests deterministically keep the job queue occupied.
+    /// admission-control tests deterministically keep the daemon's admission
+    /// slots occupied.
     pub fn hold_workers(&self) {
         self.lock().hold_workers = true;
     }

@@ -388,11 +388,11 @@ impl Fleet {
 
     /// Registers a worker and returns its id. The caller has already
     /// validated the schema advertisement.
-    pub fn register(&self, threads: usize) -> u64 {
+    pub fn register(&self) -> u64 {
         let now = self.now_ms();
         let id = {
             let mut state = self.lock();
-            let id = state.table.register(threads, now);
+            let id = state.table.register(now);
             state.last_heartbeat_ms.insert(id, now);
             self.sync_metrics_locked(&state);
             id
@@ -421,7 +421,7 @@ impl Fleet {
                 return PullOutcome::Draining;
             }
             self.tick_locked(&mut state);
-            if state.table.worker_threads(worker).is_none() {
+            if !state.table.is_live(worker) {
                 return PullOutcome::UnknownWorker;
             }
             if let Some((key, redeliveries)) = state.table.dispatch(worker, self.now_ms()) {
@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn draining_rejects_submits_and_pulls() {
         let fleet = Fleet::new(LeaseConfig::default());
-        let worker = fleet.register(1);
+        let worker = fleet.register();
         fleet.drain();
         let (runner, cell) = smoke_cell();
         assert!(matches!(fleet.run_cell(&runner, &cell), FleetDisposition::Draining));
@@ -532,7 +532,7 @@ mod tests {
     #[test]
     fn a_worker_thread_completes_a_cell_through_the_fleet() {
         let fleet = Arc::new(Fleet::new(LeaseConfig { lease_timeout_ms: 2_000, max_redeliveries: 1 }));
-        let worker = fleet.register(1);
+        let worker = fleet.register();
         let server = {
             let fleet = fleet.clone();
             std::thread::spawn(move || loop {

@@ -50,16 +50,6 @@ impl Default for LeaseConfig {
     }
 }
 
-/// Registered-worker bookkeeping.
-#[derive(Debug, Clone)]
-struct WorkerState {
-    /// Advertised simulation threads (capability advertisement; informational).
-    threads: usize,
-    /// Timestamp of the worker's last sign of life (registration, heartbeat,
-    /// or completion).
-    last_seen_ms: u64,
-}
-
 /// Where one submitted cell currently is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum JobState {
@@ -126,7 +116,9 @@ pub struct LeaseCounters {
 #[derive(Debug)]
 pub struct LeaseTable {
     config: LeaseConfig,
-    workers: HashMap<u64, WorkerState>,
+    /// Each live worker and the time of its last sign of life
+    /// (registration, pull, heartbeat, or completion).
+    workers: HashMap<u64, u64>,
     next_worker_id: u64,
     /// Dispatch queue: redelivered cells go to the *front* so a cell that
     /// already lost time to a dead worker is not also penalized with a fresh
@@ -179,18 +171,17 @@ impl LeaseTable {
         self.jobs.contains_key(&key)
     }
 
-    /// Registers a worker, returning its id. `threads` is the worker's
-    /// capability advertisement.
-    pub fn register(&mut self, threads: usize, now_ms: u64) -> u64 {
+    /// Registers a worker, returning its id.
+    pub fn register(&mut self, now_ms: u64) -> u64 {
         let id = self.next_worker_id;
         self.next_worker_id += 1;
-        self.workers.insert(id, WorkerState { threads, last_seen_ms: now_ms });
+        self.workers.insert(id, now_ms);
         id
     }
 
-    /// Advertised threads of a live worker.
-    pub fn worker_threads(&self, worker: u64) -> Option<usize> {
-        self.workers.get(&worker).map(|w| w.threads)
+    /// Whether `worker` is registered and not yet presumed dead.
+    pub fn is_live(&self, worker: u64) -> bool {
+        self.workers.contains_key(&worker)
     }
 
     /// Submits a cell for dispatch. Duplicate submissions of a tracked key
@@ -221,8 +212,7 @@ impl LeaseTable {
     /// worker is live and work is available. Also refreshes the worker's
     /// liveness (a pull is as good as a heartbeat).
     pub fn dispatch(&mut self, worker: u64, now_ms: u64) -> Option<(CellKey, u32)> {
-        let state = self.workers.get_mut(&worker)?;
-        state.last_seen_ms = now_ms;
+        *self.workers.get_mut(&worker)? = now_ms;
         let key = self.queue.pop_front()?;
         let redeliveries = self.jobs.get(&key).expect("queued keys are tracked").redeliveries;
         let deadline_ms = now_ms + self.lease_duration_ms(worker, redeliveries);
@@ -246,8 +236,8 @@ impl LeaseTable {
     /// every lease it holds. Returns `false` for unknown workers (already
     /// presumed dead and deregistered — the worker must re-register).
     pub fn heartbeat(&mut self, worker: u64, now_ms: u64) -> bool {
-        let Some(state) = self.workers.get_mut(&worker) else { return false };
-        state.last_seen_ms = now_ms;
+        let Some(last_seen_ms) = self.workers.get_mut(&worker) else { return false };
+        *last_seen_ms = now_ms;
         let extensions: Vec<(CellKey, u64)> = self
             .jobs
             .iter()
@@ -282,8 +272,8 @@ impl LeaseTable {
             return CompleteOutcome::Stale;
         }
         self.jobs.remove(&key);
-        if let Some(state) = self.workers.get_mut(&worker) {
-            state.last_seen_ms = now_ms;
+        if let Some(last_seen_ms) = self.workers.get_mut(&worker) {
+            *last_seen_ms = now_ms;
         }
         CompleteOutcome::Accepted
     }
@@ -313,8 +303,8 @@ impl LeaseTable {
         let dead: Vec<u64> = self
             .workers
             .iter()
-            .filter_map(|(&id, state)| {
-                (now_ms.saturating_sub(state.last_seen_ms) > self.config.lease_timeout_ms).then_some(id)
+            .filter_map(|(&id, &last_seen_ms)| {
+                (now_ms.saturating_sub(last_seen_ms) > self.config.lease_timeout_ms).then_some(id)
             })
             .collect();
         for worker in dead {
@@ -374,7 +364,7 @@ mod tests {
     #[test]
     fn dispatch_completes_within_the_lease() {
         let mut t = table();
-        let w = t.register(4, 0);
+        let w = t.register(0);
         t.submit(CellKey(1));
         let (key, redeliveries) = t.dispatch(w, 0).unwrap();
         assert_eq!((key, redeliveries), (CellKey(1), 0));
@@ -387,7 +377,7 @@ mod tests {
     #[test]
     fn missed_heartbeats_expire_and_requeue_with_a_bound() {
         let mut t = table();
-        let mut w = t.register(1, 0);
+        let mut w = t.register(0);
         t.submit(CellKey(7));
         // Deliver + expire three times: 2 redeliveries allowed, then exhausted.
         let mut now = 0;
@@ -400,7 +390,7 @@ mod tests {
             assert_eq!(t.workers_live(), 0);
             if round < 2 {
                 assert_eq!(events, vec![JobEvent::Requeued { key: CellKey(7), redeliveries: round + 1 }]);
-                w = t.register(1, now);
+                w = t.register(now);
             } else {
                 assert_eq!(events, vec![JobEvent::Exhausted { key: CellKey(7), redeliveries: 2 }]);
             }
@@ -415,7 +405,7 @@ mod tests {
     #[test]
     fn heartbeats_extend_leases_indefinitely() {
         let mut t = table();
-        let w = t.register(1, 0);
+        let w = t.register(0);
         t.submit(CellKey(3));
         t.dispatch(w, 0).unwrap();
         let mut now = 0;
@@ -430,11 +420,11 @@ mod tests {
     #[test]
     fn duplicate_completions_after_expiry_are_stale() {
         let mut t = table();
-        let a = t.register(1, 0);
+        let a = t.register(0);
         t.submit(CellKey(9));
         t.dispatch(a, 0).unwrap();
         t.tick(1_000); // a's lease expires, cell requeued
-        let b = t.register(1, 1_000);
+        let b = t.register(1_000);
         assert_eq!(t.dispatch(b, 1_000), Some((CellKey(9), 1)));
         // The presumed-dead worker reports late: stale, not double-completed.
         assert_eq!(t.complete(a, CellKey(9), 1_050), CompleteOutcome::Stale);
@@ -445,12 +435,12 @@ mod tests {
     #[test]
     fn disconnect_requeues_to_the_front() {
         let mut t = table();
-        let a = t.register(1, 0);
+        let a = t.register(0);
         t.submit(CellKey(1));
         t.submit(CellKey(2));
         t.dispatch(a, 0).unwrap(); // leases CellKey(1)
         assert_eq!(t.disconnect(a), vec![JobEvent::Requeued { key: CellKey(1), redeliveries: 1 }]);
-        let b = t.register(1, 0);
+        let b = t.register(0);
         // The redelivered cell overtakes the never-delivered one.
         assert_eq!(t.dispatch(b, 0), Some((CellKey(1), 1)));
         assert_eq!(t.dispatch(b, 0), Some((CellKey(2), 0)));
@@ -459,7 +449,7 @@ mod tests {
     #[test]
     fn drain_forgets_everything() {
         let mut t = table();
-        let w = t.register(1, 0);
+        let w = t.register(0);
         t.submit(CellKey(1));
         t.submit(CellKey(2));
         t.dispatch(w, 0).unwrap();

@@ -4,8 +4,8 @@
 //! that accepts sweep requests over a line protocol (Unix socket or stdin),
 //! decomposes them into the cells of the figure grids of
 //! [`comet_sim::experiments`], schedules novel cells onto the
-//! [`ParallelExecutor`](comet_sim::experiments::ParallelExecutor) via a
-//! priority job queue, deduplicates in-flight work across concurrent
+//! [`ParallelExecutor`](comet_sim::experiments::ParallelExecutor) behind a
+//! priority admission gate, deduplicates in-flight work across concurrent
 //! requests, and memoizes every completed cell in a content-addressed result
 //! cache persisted as JSON-lines segments.
 //!
@@ -57,7 +57,6 @@ pub use faults::{DeliverFault, FaultPlan};
 pub use fleet::{Fleet, FleetDisposition, FleetStats, PullOutcome};
 pub use key::{canonical_cell_form, cell_key, CellKey, KEY_SCHEMA};
 pub use lease::{CompleteOutcome, JobEvent, LeaseConfig, LeaseCounters, LeaseTable};
-pub use queue::{JobQueue, PopWait, Push};
 pub use service::{ExperimentService, ServiceConfig, ServiceStats};
 pub use store::{Recovery, ResultStore};
 pub use worker::{run_worker, WorkerConfig, WorkerReport};

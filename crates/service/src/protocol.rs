@@ -30,20 +30,20 @@
 //! (or Unix) connections:
 //!
 //! ```text
-//! {"op":"register","id":1,"threads":4,"schema":"comet-cell/v2"}
+//! {"op":"register","id":1,"schema":"comet-cell/v2"}
 //! {"op":"pull","id":2,"worker":3,"wait_ms":500}
 //! {"op":"heartbeat","id":3,"worker":3,"cells":17,"busy":true}
 //! {"op":"complete","id":4,"worker":3,"key":"<32 hex>","result":{...}}
 //! {"op":"complete","id":5,"worker":3,"key":"<32 hex>","error":"..."}
 //! ```
 //!
-//! `register` advertises capabilities and is refused unless the worker's
-//! `schema` matches this coordinator's [`KEY_SCHEMA`] — a mixed-version
-//! fleet must fail loudly at the door, not poison the cache later. `pull`
-//! long-polls for a leased cell (the response's `job` is `null` when none
-//! arrived within `wait_ms`); `heartbeat` extends every lease the worker
-//! holds; `complete` reports a result (or a typed failure) and answers with
-//! `"accepted"` — `false` marks a stale duplicate after lease expiry.
+//! `register` is refused unless the worker's cell-key `schema` matches this
+//! coordinator's [`KEY_SCHEMA`] — a mixed-version fleet must fail loudly at
+//! the door, not poison the cache later. `pull` long-polls for a leased cell
+//! (the response's `job` is `null` when none arrived within `wait_ms`);
+//! `heartbeat` extends every lease the worker holds; `complete` reports a
+//! result (or a typed failure) and answers with `"accepted"` — `false` marks
+//! a stale duplicate after lease expiry.
 //!
 //! ## Line framing
 //!
@@ -182,13 +182,13 @@ pub struct Request {
 /// The operations the daemon understands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
-    /// Run experiment targets at a scope, with a queue priority.
+    /// Run experiment targets at a scope, with an admission priority.
     Run {
         /// Experiment scope (`smoke` / `quick` / `full`).
         scope: ExperimentScope,
         /// Target names (see [`targets::KNOWN_TARGETS`]).
         targets: Vec<String>,
-        /// Queue priority: higher pops first.
+        /// Admission priority: higher runs first.
         priority: i64,
     },
     /// Report cumulative service statistics.
@@ -199,10 +199,8 @@ pub enum Op {
     Ping,
     /// Stop the daemon after answering.
     Shutdown,
-    /// A fleet worker registers itself, advertising capabilities.
+    /// A fleet worker registers itself.
     Register {
-        /// The worker's simulation threads.
-        threads: usize,
         /// The worker's cell-key schema; must match [`KEY_SCHEMA`].
         schema: String,
     },
@@ -286,7 +284,6 @@ fn parse_op(value: &Value) -> Result<Op, ServiceError> {
         "ping" => Op::Ping,
         "shutdown" => Op::Shutdown,
         "register" => Op::Register {
-            threads: value.get("threads").and_then(Value::as_u64).unwrap_or(1) as usize,
             schema: value
                 .get("schema")
                 .and_then(Value::as_str)
@@ -443,32 +440,24 @@ pub fn run_response(
     )
 }
 
-/// Handles one already-parsed request, returning the response line and
-/// whether the daemon should shut down afterwards.
-pub fn handle_request(service: &ExperimentService, request: &Request) -> (String, bool) {
+/// Handles one already-parsed request and returns its response line.
+pub fn handle_request(service: &ExperimentService, request: &Request) -> String {
     match &request.op {
-        Op::Run { scope, targets, .. } => (run_response(service, request.id, *scope, targets), false),
-        Op::Stats => {
-            let stats = service.stats();
-            let line = format!(
-                "{{\"id\":{},\"ok\":true,\"stats\":{},\"cached_cells\":{}}}",
-                request.id,
-                stats_json(&stats),
-                service.cached_cells()
-            );
-            (line, false)
-        }
-        Op::Metrics => (metrics_response(request.id, &service.render_metrics()), false),
-        Op::Ping => (format!("{{\"id\":{},\"ok\":true,\"pong\":true}}", request.id), false),
-        Op::Shutdown => (format!("{{\"id\":{},\"ok\":true,\"shutdown\":true}}", request.id), true),
+        Op::Run { scope, targets, .. } => run_response(service, request.id, *scope, targets),
+        Op::Stats => format!(
+            "{{\"id\":{},\"ok\":true,\"stats\":{},\"cached_cells\":{}}}",
+            request.id,
+            stats_json(&service.stats()),
+            service.cached_cells()
+        ),
+        Op::Metrics => metrics_response(request.id, &service.render_metrics()),
+        Op::Ping => format!("{{\"id\":{},\"ok\":true,\"pong\":true}}", request.id),
+        Op::Shutdown => format!("{{\"id\":{},\"ok\":true,\"shutdown\":true}}", request.id),
         // Fleet ops are routed by the daemon when a fleet is attached; a
         // fleet-less path (stdin session, plain tests) refuses them loudly.
-        Op::Register { .. } | Op::Pull { .. } | Op::Heartbeat { .. } | Op::Complete { .. } => (
-            error_response(
-                request.id,
-                &ServiceError::Protocol("this endpoint has no fleet coordinator".to_string()),
-            ),
-            false,
+        Op::Register { .. } | Op::Pull { .. } | Op::Heartbeat { .. } | Op::Complete { .. } => error_response(
+            request.id,
+            &ServiceError::Protocol("this endpoint has no fleet coordinator".to_string()),
         ),
     }
 }

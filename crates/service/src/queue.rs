@@ -1,210 +1,142 @@
-//! A blocking, bounded priority job queue for the experiment daemon.
+//! The daemon's priority admission gate.
 //!
-//! Jobs pop highest-priority first; ties break FIFO by arrival sequence, so
-//! equal-priority sweeps are served in submission order. `pop` blocks until a
-//! job is available or the queue is closed, which is the worker-thread
-//! shutdown signal — a blocked `pop` wakes and returns `None` on close even
-//! when the queue is empty, so the daemon never leaks a worker waiting on
-//! the condvar.
+//! A `run` request executes on the connection thread that read it, once the
+//! gate admits it. [`AdmissionGate::admit`] blocks its caller until the
+//! caller is the highest-priority waiter (ties break FIFO by arrival, so
+//! equal-priority sweeps run in submission order) and one of the gate's
+//! slots is free. It returns an [`Admitted`] guard that frees the slot when
+//! it drops, on unwind too, and wakes the next waiter.
 //!
-//! The queue is the service's admission bound: pushes past the configured
-//! capacity are refused with [`Push::Overloaded`] (load shedding) instead of
-//! growing without limit, and [`close_and_drain`](JobQueue::close_and_drain)
-//! hands queued-but-unstarted jobs back to the caller at shutdown so they
-//! can be rejected cleanly rather than silently dropped.
+//! The gate is the daemon's admission bound: a caller arriving while `bound`
+//! others already wait is refused with [`Refused::Overloaded`] (load
+//! shedding) instead of the wait list growing without limit.
+//! [`close_and_drain`](AdmissionGate::close_and_drain) refuses every waiter,
+//! and every later caller, with [`Refused::Closed`] at shutdown; callers
+//! already admitted keep their slots and finish.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-struct Entry<T> {
-    priority: i64,
-    seq: u64,
-    job: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: higher priority first, then earlier sequence.
-        self.priority.cmp(&other.priority).then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct Inner<T> {
-    heap: BinaryHeap<Entry<T>>,
-    next_seq: u64,
-    closed: bool,
-}
-
-/// The outcome of a [`JobQueue::pop_timeout`].
+/// Why [`AdmissionGate::admit`] refused a caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopWait<T> {
-    /// The highest-priority queued job.
-    Job(T),
-    /// Nothing arrived within the timeout; the queue is still open.
-    TimedOut,
-    /// The queue is closed and empty.
-    Closed,
-}
-
-/// The outcome of a [`JobQueue::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Push {
-    /// The job was enqueued.
-    Queued,
-    /// The job was shed: the queue already holds `queued` jobs against a
-    /// bound of `bound`. The job is dropped; clients should back off.
+pub enum Refused {
+    /// Shed: `queued` callers were already waiting against a bound of
+    /// `bound`. Clients should back off.
     Overloaded {
-        /// Jobs queued at the moment of rejection.
+        /// Callers waiting at the moment of refusal.
         queued: usize,
         /// The configured admission bound.
         bound: usize,
     },
-    /// The queue is closed (shutdown); the job is dropped.
+    /// The gate is closed (shutdown).
     Closed,
 }
 
-/// A thread-safe blocking priority queue with an admission bound.
-pub struct JobQueue<T> {
-    inner: Mutex<Inner<T>>,
+struct Inner {
+    /// Waiting callers as `(priority, Reverse(arrival))`: the max-heap's top
+    /// is the next caller admitted.
+    waiting: BinaryHeap<(i64, Reverse<u64>)>,
+    next_arrival: u64,
+    free_slots: usize,
+    closed: bool,
+}
+
+/// A blocking priority gate over a fixed number of slots, with an admission
+/// bound on its waiters.
+pub struct AdmissionGate {
+    inner: Mutex<Inner>,
     cv: Condvar,
     bound: usize,
 }
 
-impl<T> Default for JobQueue<T> {
-    fn default() -> Self {
-        Self::new()
+/// One held slot of an [`AdmissionGate`]; dropping it frees the slot.
+#[must_use = "the slot is freed as soon as the guard drops"]
+pub struct Admitted<'a> {
+    gate: &'a AdmissionGate,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.gate.lock().free_slots += 1;
+        // Only the top waiter can take the slot, and the condvar cannot
+        // pick it out, so every waiter re-checks.
+        self.gate.cv.notify_all();
     }
 }
 
-impl<T> JobQueue<T> {
-    /// An empty, open, effectively unbounded queue.
-    pub fn new() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
-    /// An empty, open queue that sheds pushes past `bound` queued jobs
-    /// (`0` is clamped to 1: a queue that admits nothing deadlocks).
-    pub fn bounded(bound: usize) -> Self {
-        JobQueue {
-            inner: Mutex::new(Inner { heap: BinaryHeap::new(), next_seq: 0, closed: false }),
+impl AdmissionGate {
+    /// A gate with `slots` concurrent holders that sheds callers arriving
+    /// while `bound` others wait. Both are clamped to at least 1: a gate
+    /// that admits nothing deadlocks.
+    pub fn new(slots: usize, bound: usize) -> Self {
+        AdmissionGate {
+            inner: Mutex::new(Inner {
+                waiting: BinaryHeap::new(),
+                next_arrival: 0,
+                free_slots: slots.max(1),
+                closed: false,
+            }),
             cv: Condvar::new(),
             bound: bound.max(1),
         }
     }
 
-    /// The admission bound.
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
-    /// Recovers the guard even if a holder panicked: the queue's invariants
+    /// Recovers the guard even if a holder panicked: the gate's invariants
     /// hold at every await point, so poisoning must not cascade into every
     /// connection thread.
-    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues `job`, unless the queue is closed or full (the job is then
-    /// dropped and the outcome says why).
-    pub fn push(&self, job: T, priority: i64) -> Push {
+    /// Blocks until the caller is the highest-priority waiter and a slot is
+    /// free, then holds that slot until the returned guard drops. Refused
+    /// at once when the gate is closed or `bound` callers already wait, and
+    /// while waiting when the gate closes.
+    pub fn admit(&self, priority: i64) -> Result<Admitted<'_>, Refused> {
         let mut inner = self.lock();
         if inner.closed {
-            return Push::Closed;
+            return Err(Refused::Closed);
         }
-        if inner.heap.len() >= self.bound {
-            return Push::Overloaded { queued: inner.heap.len(), bound: self.bound };
+        if inner.waiting.len() >= self.bound {
+            return Err(Refused::Overloaded { queued: inner.waiting.len(), bound: self.bound });
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.heap.push(Entry { priority, seq, job });
-        self.cv.notify_one();
-        Push::Queued
-    }
-
-    /// Blocks until a job is available (returning the highest-priority one)
-    /// or the queue is closed (returning `None`). After a plain
-    /// [`close`](Self::close) remaining jobs are drained first; after
-    /// [`close_and_drain`](Self::close_and_drain) the queue is already
-    /// empty and every popper wakes to `None` immediately.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.lock();
+        let me = (priority, Reverse(inner.next_arrival));
+        inner.next_arrival += 1;
+        inner.waiting.push(me);
         loop {
-            if let Some(entry) = inner.heap.pop() {
-                return Some(entry.job);
-            }
+            // Closing clears the wait list, so a refused waiter leaves
+            // nothing behind.
             if inner.closed {
-                return None;
+                return Err(Refused::Closed);
+            }
+            if inner.free_slots > 0 && inner.waiting.peek() == Some(&me) {
+                inner.waiting.pop();
+                inner.free_slots -= 1;
+                if inner.free_slots > 0 && !inner.waiting.is_empty() {
+                    // The next waiter may have checked before this one
+                    // left the top; it can take another free slot now.
+                    self.cv.notify_all();
+                }
+                return Ok(Admitted { gate: self });
             }
             inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Like [`pop`](Self::pop), but bounded: waits at most `timeout` for a
-    /// job. The timed-out case lets pool workers re-check an external
-    /// shutdown signal instead of parking on the condvar forever — the
-    /// daemon's defence against any path that raises its shutdown flag
-    /// without closing the queue.
-    pub fn pop_timeout(&self, timeout: std::time::Duration) -> PopWait<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.lock();
-        loop {
-            if let Some(entry) = inner.heap.pop() {
-                return PopWait::Job(entry.job);
-            }
-            if inner.closed {
-                return PopWait::Closed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return PopWait::TimedOut;
-            }
-            let (next, _) =
-                self.cv.wait_timeout(inner, deadline - now).unwrap_or_else(PoisonError::into_inner);
-            inner = next;
-        }
-    }
-
-    /// Closes the queue: future pushes are rejected, poppers drain what is
-    /// left and then receive `None`.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Closes the queue and takes every queued-but-unstarted job back, in
-    /// pop (priority) order, so the caller can reject each one cleanly.
-    /// In-flight jobs (already popped) are unaffected and run to completion.
-    pub fn close_and_drain(&self) -> Vec<T> {
+    /// Closes the gate: every waiter, and every later caller, is refused
+    /// with [`Refused::Closed`]. Admitted callers keep their slots.
+    pub fn close_and_drain(&self) {
         let mut inner = self.lock();
         inner.closed = true;
-        let mut drained = Vec::with_capacity(inner.heap.len());
-        while let Some(entry) = inner.heap.pop() {
-            drained.push(entry.job);
-        }
+        inner.waiting.clear();
         drop(inner);
         self.cv.notify_all();
-        drained
     }
 
-    /// Jobs currently queued.
-    pub fn len(&self) -> usize {
-        self.lock().heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Callers currently waiting for a slot.
+    pub fn waiting(&self) -> usize {
+        self.lock().waiting.len()
     }
 }
 
@@ -212,102 +144,116 @@ impl<T> JobQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::thread::JoinHandle;
+
+    /// Starts a caller of `gate.admit(priority)` on its own thread, waits
+    /// until it is queued, and returns what it saw. An admitted caller
+    /// appends `label` to `admitted` while it still holds its slot.
+    fn waiter(
+        gate: &Arc<AdmissionGate>,
+        admitted: &Arc<Mutex<Vec<&'static str>>>,
+        label: &'static str,
+        priority: i64,
+    ) -> JoinHandle<Result<(), Refused>> {
+        let queued = gate.waiting();
+        let handle = {
+            let (gate, admitted) = (gate.clone(), admitted.clone());
+            std::thread::spawn(move || {
+                let _slot = gate.admit(priority)?;
+                admitted.lock().unwrap().push(label);
+                Ok(())
+            })
+        };
+        while gate.waiting() == queued && !handle.is_finished() {
+            std::thread::yield_now();
+        }
+        handle
+    }
 
     #[test]
     fn pops_by_priority_then_fifo() {
-        let queue = JobQueue::new();
-        assert_eq!(queue.push("low", 1), Push::Queued);
-        assert_eq!(queue.push("high", 10), Push::Queued);
-        assert_eq!(queue.push("mid-a", 5), Push::Queued);
-        assert_eq!(queue.push("mid-b", 5), Push::Queued);
-        assert_eq!(queue.pop(), Some("high"));
-        assert_eq!(queue.pop(), Some("mid-a"));
-        assert_eq!(queue.pop(), Some("mid-b"));
-        assert_eq!(queue.pop(), Some("low"));
-    }
-
-    #[test]
-    fn close_drains_then_returns_none() {
-        let queue = JobQueue::new();
-        queue.push(1, 0);
-        queue.close();
-        assert_eq!(queue.push(2, 0), Push::Closed, "closed queue rejects pushes");
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn blocking_pop_wakes_on_push() {
-        let queue = Arc::new(JobQueue::new());
-        let popper = {
-            let queue = queue.clone();
-            std::thread::spawn(move || queue.pop())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        queue.push(42, 0);
-        assert_eq!(popper.join().unwrap(), Some(42));
-    }
-
-    /// Regression test for the worker-leak shutdown path: workers blocked in
-    /// `pop` on an *empty* queue must wake and return `None` as soon as the
-    /// queue closes — the daemon's polling accept loop joins its scope at
-    /// shutdown and would hang forever on a worker still parked on the
-    /// condvar.
-    #[test]
-    fn blocked_pop_on_an_empty_queue_wakes_and_returns_none_on_close() {
-        let queue: Arc<JobQueue<u32>> = Arc::new(JobQueue::new());
-        let poppers: Vec<_> = (0..4)
-            .map(|_| {
-                let queue = queue.clone();
-                std::thread::spawn(move || queue.pop())
-            })
-            .collect();
-        // Let every popper reach the condvar wait before closing.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        queue.close();
-        for popper in poppers {
-            assert_eq!(popper.join().unwrap(), None, "blocked popper must wake to None");
+        let gate = Arc::new(AdmissionGate::new(1, 8));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let held = gate.admit(0).unwrap();
+        let waiters = [("low", 1), ("high", 10), ("mid-a", 5), ("mid-b", 5)]
+            .map(|(label, priority)| waiter(&gate, &admitted, label, priority));
+        assert_eq!(gate.waiting(), 4);
+        drop(held);
+        for waiter in waiters {
+            waiter.join().unwrap().unwrap();
         }
+        assert_eq!(*admitted.lock().unwrap(), ["high", "mid-a", "mid-b", "low"]);
+    }
+
+    #[test]
+    fn a_blocked_admit_wakes_when_a_slot_frees() {
+        let gate = Arc::new(AdmissionGate::new(2, 8));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let first = gate.admit(0).unwrap();
+        let _second = gate.admit(0).expect("two slots admit two callers at once");
+        let blocked = waiter(&gate, &admitted, "third", 0);
+        assert!(!blocked.is_finished(), "both slots are held");
+        drop(first);
+        blocked.join().unwrap().unwrap();
+        assert_eq!(*admitted.lock().unwrap(), ["third"]);
+    }
+
+    /// A run that panics while it holds its slot frees the slot on unwind.
+    #[test]
+    fn a_panicking_holder_frees_its_slot() {
+        let gate = AdmissionGate::new(1, 1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = gate.admit(0).unwrap();
+            panic!("the run panicked");
+        }));
+        assert!(caught.is_err());
+        assert!(gate.admit(0).is_ok(), "the slot came back");
+    }
+
+    /// Every caller blocked in `admit` must wake and be refused as soon as
+    /// the gate closes: the daemon joins its connection threads at shutdown
+    /// and would hang on one still parked on the condvar.
+    #[test]
+    fn blocked_admits_wake_and_are_refused_on_close() {
+        let gate = Arc::new(AdmissionGate::new(1, 8));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let held = gate.admit(0).unwrap();
+        let waiters: Vec<_> = (0..4).map(|priority| waiter(&gate, &admitted, "never", priority)).collect();
+        gate.close_and_drain();
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Err(Refused::Closed), "a blocked caller is refused");
+        }
+        assert_eq!(gate.waiting(), 0);
+        assert!(matches!(gate.admit(9), Err(Refused::Closed)), "a closed gate refuses new callers");
+        // The admitted caller was never interrupted and frees its slot.
+        drop(held);
+        assert!(admitted.lock().unwrap().is_empty());
     }
 
     #[test]
     fn pushes_past_the_bound_are_shed() {
-        let queue = JobQueue::bounded(2);
-        assert_eq!(queue.push("a", 0), Push::Queued);
-        assert_eq!(queue.push("b", 5), Push::Queued);
-        assert_eq!(queue.push("c", 9), Push::Overloaded { queued: 2, bound: 2 });
-        // Shedding never reorders admitted work; a pop frees a slot.
-        assert_eq!(queue.pop(), Some("b"));
-        assert_eq!(queue.push("d", 0), Push::Queued);
-        assert_eq!(queue.len(), 2);
+        let gate = Arc::new(AdmissionGate::new(1, 2));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let held = gate.admit(0).unwrap();
+        let a = waiter(&gate, &admitted, "a", 0);
+        let b = waiter(&gate, &admitted, "b", 5);
+        assert!(matches!(gate.admit(9), Err(Refused::Overloaded { queued: 2, bound: 2 })));
+        // Shedding never reorders admitted work.
+        drop(held);
+        a.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+        assert_eq!(*admitted.lock().unwrap(), ["b", "a"]);
+        assert_eq!(gate.waiting(), 0);
     }
 
     #[test]
     fn zero_bound_is_clamped_to_one() {
-        let queue = JobQueue::bounded(0);
-        assert_eq!(queue.bound(), 1);
-        assert_eq!(queue.push(1, 0), Push::Queued);
-    }
-
-    #[test]
-    fn pop_timeout_distinguishes_empty_from_closed() {
-        let queue = JobQueue::new();
-        queue.push(7, 0);
-        assert_eq!(queue.pop_timeout(std::time::Duration::from_millis(10)), PopWait::Job(7));
-        assert_eq!(queue.pop_timeout(std::time::Duration::from_millis(10)), PopWait::TimedOut);
-        queue.close();
-        assert_eq!(queue.pop_timeout(std::time::Duration::from_millis(10)), PopWait::Closed);
-    }
-
-    #[test]
-    fn close_and_drain_hands_queued_jobs_back_in_pop_order() {
-        let queue = JobQueue::new();
-        queue.push("low", 1);
-        queue.push("high", 10);
-        queue.push("mid", 5);
-        let drained = queue.close_and_drain();
-        assert_eq!(drained, vec!["high", "mid", "low"]);
-        assert_eq!(queue.pop(), None, "drained queue pops None immediately");
-        assert_eq!(queue.push("late", 0), Push::Closed);
+        let gate = Arc::new(AdmissionGate::new(0, 0));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let held = gate.admit(0).expect("zero slots are clamped to one");
+        let queued = waiter(&gate, &admitted, "queued", 0);
+        assert!(matches!(gate.admit(0), Err(Refused::Overloaded { queued: 1, bound: 1 })));
+        drop(held);
+        queued.join().unwrap().unwrap();
     }
 }

@@ -25,7 +25,7 @@
 //! * **Bounded cache** — [`ServiceConfig::max_cached_cells`] caps the
 //!   in-memory map with least-recently-touched eviction (hits refresh a
 //!   slot's clock; in-flight `Running` claims are never evicted), and
-//!   [`ServiceConfig::max_segments`] caps the segment directory by
+//!   [`ServiceConfig::max_segments`] bounds the segment directory by
 //!   triggering a compaction pass (see [`crate::compact`]) that rewrites
 //!   only the currently live keys.
 //! * **Worker panics** — a panicking cell simulation is caught at the cell
@@ -49,7 +49,7 @@ use comet_telemetry::{Counter, Gauge, Registry};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Consecutive persist failures before the service stops writing to disk.
@@ -62,7 +62,13 @@ pub struct ServiceConfig {
     /// evicted past this. `None` = unbounded (the pre-bounds behavior).
     pub max_cached_cells: Option<usize>,
     /// Segment files tolerated on disk before a compaction pass rewrites
-    /// the live keys. `None` = never compact.
+    /// the live keys into as few segments as they fill. While the live
+    /// cells fill fewer than `max_segments` segments the store keeps at
+    /// most `max_segments`; once they fill that many or more, it keeps at
+    /// most one segment more than the last pass wrote, so passes come at
+    /// least [`SEGMENT_CAPACITY`](crate::store::SEGMENT_CAPACITY) appends
+    /// apart.
+    /// `None` = never compact.
     pub max_segments: Option<usize>,
     /// Automatic re-runs of a cell whose simulation panicked before the
     /// panic surfaces as [`RunnerError::WorkerPanic`].
@@ -321,6 +327,9 @@ pub struct ExperimentService {
     fleet: OnceLock<Arc<Fleet>>,
     degraded: AtomicBool,
     consecutive_persist_failures: AtomicU64,
+    /// Segments the store may hold before the next compaction pass: see
+    /// [`ServiceConfig::max_segments`].
+    compact_above: AtomicUsize,
 }
 
 impl std::fmt::Debug for ExperimentService {
@@ -391,6 +400,7 @@ impl ExperimentService {
             fleet: OnceLock::new(),
             degraded: AtomicBool::new(false),
             consecutive_persist_failures: AtomicU64::new(0),
+            compact_above: AtomicUsize::new(config.max_segments.unwrap_or(usize::MAX)),
         };
         let Some(dir) = dir else { return Ok(service) };
 
@@ -632,7 +642,7 @@ impl ExperimentService {
         // Cheap check without touching the cache lock.
         {
             let store = store.lock().unwrap_or_else(PoisonError::into_inner);
-            if store.segments_on_disk() <= max_segments {
+            if store.segments_on_disk() <= self.compact_above.load(Ordering::Relaxed) {
                 return;
             }
         }
@@ -648,6 +658,11 @@ impl ExperimentService {
         match outcome {
             Ok(CompactionReport { kept, dropped, quarantined, segments_before, segments_after }) => {
                 self.counters.compactions.inc();
+                // A pass cannot go below the segments its live cells fill,
+                // and appends continue its last one. Allowing one segment
+                // more spaces passes at least `SEGMENT_CAPACITY` appends
+                // apart instead of compacting on every append.
+                self.compact_above.store(max_segments.max(segments_after + 1), Ordering::Relaxed);
                 // Only quarantines are new here. The torn tails the pass read
                 // past were counted at start-up, or as persist errors when
                 // this process tore them.

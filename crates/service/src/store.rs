@@ -127,10 +127,23 @@ impl ResultStore {
         self.segments_on_disk
     }
 
-    pub(crate) fn set_layout(&mut self, next_segment_index: u64, segments_on_disk: usize) {
+    /// Adopts the layout a compaction pass wrote: `segments_on_disk`
+    /// segments below `next_segment_index`, the last of which (`last`, with
+    /// its entry count) stays open for appends.
+    pub(crate) fn set_layout(
+        &mut self,
+        next_segment_index: u64,
+        segments_on_disk: usize,
+        last: Option<(&Path, usize)>,
+    ) -> std::io::Result<()> {
         self.segment_index = next_segment_index;
         self.entries_in_segment = 0;
         self.segments_on_disk = segments_on_disk;
+        if let Some((path, entries)) = last {
+            self.writer = Some(BufWriter::new(OpenOptions::new().append(true).open(path)?));
+            self.entries_in_segment = entries;
+        }
+        Ok(())
     }
 
     /// Flushes and fsyncs the open segment (if any) and closes it; the next

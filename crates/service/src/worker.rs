@@ -50,8 +50,6 @@ const READ_TIMEOUT_MS: u64 = 250;
 pub struct WorkerConfig {
     /// Coordinator address, e.g. `127.0.0.1:7801`.
     pub addr: String,
-    /// Advertised simulation threads.
-    pub threads: usize,
     /// Heartbeat period.
     pub heartbeat_ms: u64,
     /// Base reconnect backoff (doubles per consecutive failure, jittered).
@@ -69,7 +67,6 @@ impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
             addr: String::new(),
-            threads: 1,
             heartbeat_ms: 500,
             backoff_ms: 100,
             max_reconnects: Some(20),
@@ -205,11 +202,7 @@ fn run_session(
     let session_dead = Arc::new(AtomicBool::new(false));
 
     // Register on the work connection.
-    let register = format!(
-        "{{\"op\":\"register\",\"id\":1,\"threads\":{},\"schema\":{}}}",
-        config.threads,
-        json_quote(KEY_SCHEMA)
-    );
+    let register = format!("{{\"op\":\"register\",\"id\":1,\"schema\":{}}}", json_quote(KEY_SCHEMA));
     work.write_line(&register).map_err(|_| SessionError::Transient)?;
     let response = read_response(&mut work, stop, &session_dead).ok_or(SessionError::Transient)?;
     if !response_ok(&response) {

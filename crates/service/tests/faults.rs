@@ -7,9 +7,9 @@
 //! bit-exact against fresh simulations throughout.
 
 use comet_service::store::{result_projection, QUARANTINE_DIR};
-use comet_service::{ExperimentService, FaultPlan, ServiceConfig};
+use comet_service::{CellKey, ExperimentService, FaultPlan, ResultStore, ServiceConfig};
 use comet_sim::experiments::{CellBackend, CellSpec, ExperimentScope, ParallelExecutor};
-use comet_sim::{MechanismKind, Runner, RunnerError};
+use comet_sim::{MechanismKind, RunResult, Runner, RunnerError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -275,14 +275,16 @@ fn segment_bound_triggers_compaction_and_survives_restart() {
     let runner = smoke_runner();
     let cells = cells();
     {
-        // max_segments 0: every append exceeds the bound, so every persist
-        // compacts — the most aggressive (and deterministic) setting.
+        // max_segments 0: the first append exceeds the bound and compacts —
+        // the most aggressive (and deterministic) setting. The live cells
+        // then fill more segments than the bound, so the later appends
+        // continue the compacted segment.
         let config = ServiceConfig { max_segments: Some(0), ..ServiceConfig::default() };
         let service =
             ExperimentService::with_config(ParallelExecutor::serial(), Some(dir.clone()), config).unwrap();
         service.run_cells(&runner, &cells).unwrap();
         let stats = service.stats();
-        assert_eq!(stats.compactions, 3, "every persist compacted");
+        assert_eq!(stats.compactions, 1, "the first persist compacted");
         assert!(!stats.degraded);
     }
     let segments: Vec<_> = std::fs::read_dir(&dir)
@@ -297,6 +299,35 @@ fn segment_bound_triggers_compaction_and_survives_restart() {
     assert_eq!(service.stats().loaded_from_disk, 3, "compaction loses nothing live");
     service.run_cells(&runner, &cells).unwrap();
     assert_eq!(service.stats().simulated, 0, "fully warm after compacted restart");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pass cannot write fewer segments than its live cells fill. Once those
+/// reach the bound, appends continue the pass's last segment and the next
+/// pass waits for one segment more, so a store whose live cells fill the
+/// bound is not re-read and rewritten on every append.
+#[test]
+fn a_store_that_fills_its_segment_bound_does_not_compact_on_every_append() {
+    let dir = temp_dir("compact-full");
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let mut store = ResultStore::open(&dir).unwrap();
+        for key in 0..600 {
+            store.append(CellKey(key), &RunResult::default()).unwrap();
+        }
+    }
+    let config = ServiceConfig { max_segments: Some(2), ..ServiceConfig::default() };
+    let service =
+        ExperimentService::with_config(ParallelExecutor::serial(), Some(dir.clone()), config).unwrap();
+    assert_eq!(service.stats().loaded_from_disk, 600);
+    service.run_cells(&smoke_runner(), &cells()).unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.simulated, 3);
+    assert!(stats.compactions <= 1, "{} compactions for 3 appends", stats.compactions);
+    drop(service);
+
+    let service = ExperimentService::with_cache_dir(ParallelExecutor::serial(), &dir).unwrap();
+    assert_eq!(service.stats().loaded_from_disk, 603, "compaction loses nothing live");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -439,6 +470,84 @@ fn flood_sheds_typed_overloaded_and_shutdown_drains_cleanly() {
     assert!(in_flight_reply.contains("\"ok\":true"), "in-flight work finishes: {in_flight_reply}");
     assert!(in_flight_reply.contains("\"id\":1"), "{in_flight_reply}");
 
+    serving.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Priority admission over the real Unix-socket daemon: with the one slot
+/// held by a run blocked at the fault-plan gate, a priority-0 and then a
+/// priority-5 `fig16` wait at the admission gate. Once released, the
+/// priority-5 run is admitted first and simulates the figure's cells; the
+/// priority-0 run that arrived earlier then finds them all cached.
+#[cfg(unix)]
+#[test]
+fn a_higher_priority_run_overtakes_an_earlier_waiting_one() {
+    use comet_service::Daemon;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = temp_dir("priority");
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("daemon.sock");
+    let plan = Arc::new(FaultPlan::new());
+    plan.hold_workers();
+    let service = ExperimentService::with_fault_plan(
+        ParallelExecutor::serial(),
+        None,
+        ServiceConfig::default(),
+        plan.clone(),
+    )
+    .unwrap();
+    let daemon = Arc::new(Daemon::new(Arc::new(service), 1));
+    let serving = {
+        let daemon = daemon.clone();
+        let socket = socket.clone();
+        std::thread::spawn(move || daemon.serve_unix(&socket))
+    };
+    while !socket.exists() {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let submit = |target: &str, priority: i64| {
+        let line = format!(
+            "{{\"op\":\"run\",\"id\":{priority},\"targets\":[\"{target}\"],\"priority\":{priority}}}"
+        );
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        std::thread::spawn(move || {
+            writeln!(stream, "{line}").unwrap();
+            let mut reply = String::new();
+            BufReader::new(stream).read_line(&mut reply).unwrap();
+            reply
+        })
+    };
+
+    // fig8 takes the one slot and blocks at the plan's gate.
+    let first = submit("fig8", 9);
+    while plan.workers_held() == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let low = submit("fig16", 0);
+    while daemon.queued_jobs() < 1 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let high = submit("fig16", 5);
+    while daemon.queued_jobs() < 2 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    plan.release_workers();
+
+    assert!(first.join().unwrap().contains("\"ok\":true"));
+    let high = high.join().unwrap();
+    let low = low.join().unwrap();
+    let simulated = |reply: &str| -> u64 {
+        let value = serde_json::from_str(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+        value.get("stats").and_then(|stats| stats.get("simulated")).and_then(|n| n.as_u64()).unwrap()
+    };
+    assert!(simulated(&high) > 0, "the priority-5 run is admitted first: {high}");
+    assert_eq!(simulated(&low), 0, "the earlier priority-0 run finds fig16 cached: {low}");
+
+    let mut stopper = UnixStream::connect(&socket).unwrap();
+    writeln!(stopper, "{{\"op\":\"shutdown\",\"id\":10}}").unwrap();
+    BufReader::new(stopper).read_line(&mut String::new()).unwrap();
     serving.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -85,7 +85,7 @@ impl Harness {
         match op % 8 {
             0 => {
                 if (self.workers.len() as u64) < WORKER_POOL {
-                    let id = self.table.register(1 + (op >> 8) as usize % 4, self.now_ms);
+                    let id = self.table.register(self.now_ms);
                     self.workers.push(id);
                 }
             }
@@ -131,7 +131,7 @@ impl Harness {
                 // ids so registration slots free up (keeping some stale ids
                 // around is fine too — ops on them are no-ops by contract).
                 let table = &self.table;
-                self.workers.retain(|&w| table.worker_threads(w).is_some());
+                self.workers.retain(|&w| table.is_live(w));
                 self.absorb_events(events);
             }
             _ => {
@@ -167,7 +167,7 @@ impl Harness {
     /// dispatches and completes until the table is empty, with periodic
     /// heartbeats so its own leases never expire.
     fn drain_remaining(&mut self) {
-        let finisher = self.table.register(1, self.now_ms);
+        let finisher = self.table.register(self.now_ms);
         let mut steps = 0u32;
         while self.table.pending() > 0 || self.table.leased() > 0 {
             steps += 1;
@@ -217,7 +217,7 @@ proptest! {
                 );
             }
             // A resolved cell's key is gone: any further report is stale.
-            let worker = harness.table.register(1, harness.now_ms);
+            let worker = harness.table.register(harness.now_ms);
             prop_assert_eq!(
                 harness.table.complete(worker, key, harness.now_ms),
                 CompleteOutcome::Stale,
@@ -233,14 +233,13 @@ proptest! {
     #[test]
     fn repeated_disconnects_exhaust_at_exactly_the_budget(
         max_redeliveries in 0u32..6,
-        threads in 1usize..8,
     ) {
         let mut table = LeaseTable::new(LeaseConfig { lease_timeout_ms: 1_000, max_redeliveries });
         let key = CellKey(0xdead_beef);
         table.submit(key);
         let mut requeues = 0u32;
         loop {
-            let worker = table.register(threads, 0);
+            let worker = table.register(0);
             let (leased, redeliveries) = table.dispatch(worker, 0).expect("the cell is pending");
             prop_assert_eq!(leased, key);
             prop_assert_eq!(redeliveries, requeues);
